@@ -9,10 +9,8 @@ experiments.
 
 from .network import (
     ActiveSet,
-    NodeId,
     TrustEdge,
     TrustNetwork,
-    dangling_nodes,
     generate_network,
     normalize_outgoing,
     trust_value,
@@ -58,7 +56,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "NoConvergenceError",
-    "NodeId",
     "PropagationConfig",
     "ReachabilityPartition",
     "SingularSystemError",
@@ -70,7 +67,6 @@ __all__ = [
     "analytic_traditional_error",
     "compute_weights_exact",
     "compute_weights_iterative",
-    "dangling_nodes",
     "decision_error",
     "decision_report",
     "expected_decision",

@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--nodes", help="use this fixed network instead of generating")
     sim.add_argument("--edges")
     sim.add_argument("--config", help="key=value file; flags override it")
-    sim.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
+    sim.add_argument("--workers", type=int, default=None,
+                     help="worker processes (default 1, at most the CPU count)")
     sim.add_argument("--output", help="write the result CSV here instead of stdout")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -22,7 +22,6 @@ split evenly among the representatives.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +42,9 @@ class StrandedTrustError(DelegationError):
         super().__init__(
             f"trust stranded at nodes with no path to any active node: {self.stranded}"
         )
+
+    def __reduce__(self):  # the default would rebuild from the message
+        return type(self), (self.stranded,)
 
 
 class NoConvergenceError(DelegationError):
@@ -77,10 +79,11 @@ class PropagationConfig:
 
 @dataclass(frozen=True)
 class ReachabilityPartition:
-    """Non-active nodes split by whether they can reach the active set."""
+    """Non-active nodes split by whether they can reach the active set,
+    each as a sorted ``int64`` id array."""
 
-    transient: frozenset[int]
-    stranded: frozenset[int]
+    transient: np.ndarray
+    stranded: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,30 +109,33 @@ class WeightVector:
 def reachability_partition(network: TrustNetwork, active: ActiveSet) -> ReachabilityPartition:
     """Split non-active nodes into transient (some directed path of
     positive normalized trust reaches an active node) and stranded (none
-    does).  Dangling non-active nodes are always stranded."""
+    does).  Dangling non-active nodes are always stranded.
+
+    Level-synchronous reverse search over the positive-trust edges: each
+    sweep marks the sources of all edges whose target is reached, until
+    the reached count stops growing.  That is D + 1 sweeps of O(E) work,
+    with D the longest shortest path to the active set and E the edge
+    count: O(D * E) at worst (a long chain), never more than the >= D
+    sweeps of the iterative solver or the O(T^3) exact solve.
+    """
     _require_normalized(network)
     active.validate_for(network.n)
     positive = network.normalized_trust > 0.0
     src = network.edge_source[positive]
     tgt = network.edge_target[positive]
-    # reverse-BFS from the active seeds over in-edges
-    order = np.argsort(tgt, kind="stable")
-    src, tgt = src[order], tgt[order]
-    reached = set(active.members)
-    frontier = deque(active.members)
-    transient: set[int] = set()
-    while frontier:
-        v = frontier.popleft()
-        lo = int(np.searchsorted(tgt, v, side="left"))
-        hi = int(np.searchsorted(tgt, v, side="right"))
-        for s in src[lo:hi]:
-            s = int(s)
-            if s not in reached:
-                reached.add(s)
-                transient.add(s)
-                frontier.append(s)
-    stranded = set(range(network.n)) - reached
-    return ReachabilityPartition(frozenset(transient), frozenset(stranded))
+    active_ids = active.sorted_ids()
+    reached = np.zeros(network.n, dtype=bool)
+    reached[active_ids] = True
+    count = len(active_ids)
+    while True:
+        reached[src[reached[tgt]]] = True
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            break
+        count = grown
+    stranded = np.flatnonzero(~reached)
+    reached[active_ids] = False
+    return ReachabilityPartition(np.flatnonzero(reached), stranded)
 
 
 def compute_weights_iterative(
@@ -247,11 +253,9 @@ def _prepare(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Partition nodes and apply the stranded policy's reject branch."""
     partition = reachability_partition(network, active)
-    if partition.stranded and policy is StrandedPolicy.REJECT:
-        raise StrandedTrustError(list(partition.stranded))
-    transient_ids = np.array(sorted(partition.transient), dtype=np.int64)
-    active_ids = active.sorted_ids()
-    return transient_ids, active_ids, len(partition.stranded)
+    if partition.stranded.size and policy is StrandedPolicy.REJECT:
+        raise StrandedTrustError(partition.stranded.tolist())
+    return partition.transient, active.sorted_ids(), len(partition.stranded)
 
 
 def _fold_in_stranded(weights: np.ndarray, stranded_count: int, leaked: float) -> float:

@@ -14,6 +14,7 @@ or distributed across worker processes.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -181,11 +182,13 @@ def run_experiment(
     """Run all trials for every active size and aggregate per-size stats.
 
     Trials are independent; with ``workers`` > 1 they are distributed
-    over processes.  Per-trial results land in arrays indexed by trial,
-    so the aggregate is identical for any schedule or worker count.
+    over processes, at most ``os.cpu_count()``.  Per-trial results land
+    in arrays indexed by trial, so the aggregate is identical for any
+    schedule or worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {workers}")
     if network is not None:
         if config.fresh_network_per_trial:
             raise ValueError("injected network requires fresh_network_per_trial=False")

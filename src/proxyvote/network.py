@@ -16,8 +16,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-NodeId = int
-
 #: per-node normalized out-trust must sum to 1 within this bound
 NORMALIZATION_TOL = 1e-12
 
@@ -251,14 +249,15 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
     opinions = rng.random(n)
     # k smallest of n-1 iid uniforms per row = uniform k-subset of the others
     scores = rng.random((n, n - 1))
-    picks = np.argpartition(scores, k - 1, axis=1)[:, :k]
+    # sorted picks give canonical edge order, so row totals add up as in normalize_outgoing
+    picks = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = picks.reshape(-1)
     tgt = np.where(cols < src, cols, cols + 1)
     raw = trust_value(opinions[src], opinions[tgt])
-    net = TrustNetwork(opinions, src, tgt, raw)
-    normalized, _ = normalize_outgoing(net)
-    return normalized
+    # opinions lie in [0, 1), so every raw trust is positive and no node dangles
+    totals = np.bincount(src, weights=raw, minlength=n)
+    return TrustNetwork(opinions, src, tgt, raw, raw / totals[src])
 
 
 def validate_network(network: TrustNetwork) -> list[str]:
@@ -278,27 +277,28 @@ def validate_network(network: TrustNetwork) -> list[str]:
         problems.append(f"node {i}: opinion {ops[i]!r} outside [0.0, 1.0]")
 
     src, tgt, raw = network.edge_source, network.edge_target, network.raw_trust
-    endpoints_ok = np.ones(network.edge_count, dtype=bool)
-    for i in range(network.edge_count):
+    bad_source = (src < 0) | (src >= n)
+    bad_target = (tgt < 0) | (tgt >= n)
+    self_loop = src == tgt
+    bad_raw = ~(np.isfinite(raw) & (raw >= 0.0) & (raw <= 1.0))
+    for i in np.flatnonzero(bad_source | bad_target | self_loop | bad_raw):
         s, t = int(src[i]), int(tgt[i])
-        if not 0 <= s < n:
+        if bad_source[i]:
             problems.append(f"edge ({s}, {t}): source node {s} out of range")
-            endpoints_ok[i] = False
-        if not 0 <= t < n:
+        if bad_target[i]:
             problems.append(f"edge ({s}, {t}): target node {t} out of range")
-            endpoints_ok[i] = False
-        if s == t:
+        if self_loop[i]:
             problems.append(f"edge ({s}, {t}): self-loop on node {s}")
-        if not (np.isfinite(raw[i]) and 0.0 <= raw[i] <= 1.0):
+        if bad_raw[i]:
             problems.append(f"edge ({s}, {t}): raw trust {raw[i]!r} outside [0.0, 1.0]")
 
     # canonical order makes duplicates adjacent
-    for i in range(1, network.edge_count):
-        if src[i] == src[i - 1] and tgt[i] == tgt[i - 1]:
-            problems.append(f"duplicate edge ({src[i]}, {tgt[i]})")
+    duplicate = (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
+    for i in np.flatnonzero(duplicate) + 1:
+        problems.append(f"duplicate edge ({src[i]}, {tgt[i]})")
 
     norm = network.normalized_trust
-    if norm is not None and np.all(endpoints_ok):
+    if norm is not None and not np.any(bad_source | bad_target):
         bad_norm = ~(np.isfinite(norm) & (norm >= 0.0) & (norm <= 1.0))
         for i in np.flatnonzero(bad_norm):
             problems.append(
@@ -308,24 +308,16 @@ def validate_network(network: TrustNetwork) -> list[str]:
             totals = np.bincount(src, weights=raw, minlength=n)
             degrees = np.bincount(src, minlength=n)
             norm_sums = np.bincount(src, weights=norm, minlength=n)
-            for i in range(n):
-                if degrees[i] == 0:
-                    continue
-                if totals[i] > 0.0:
-                    if abs(norm_sums[i] - 1.0) > NORMALIZATION_TOL:
-                        problems.append(
-                            f"node {i}: normalized out-trust sums to {norm_sums[i]!r}, not 1.0"
-                        )
-                elif norm_sums[i] != 0.0:
+            trusting = totals > 0.0
+            bad_sum = trusting & (np.abs(norm_sums - 1.0) > NORMALIZATION_TOL)
+            bad_dangling = ~trusting & (norm_sums != 0.0)
+            for i in np.flatnonzero((degrees > 0) & (bad_sum | bad_dangling)):
+                if bad_sum[i]:
+                    problems.append(
+                        f"node {i}: normalized out-trust sums to {norm_sums[i]!r}, not 1.0"
+                    )
+                else:
                     problems.append(
                         f"node {i}: dangling node carries nonzero normalized trust"
                     )
     return problems
-
-
-def dangling_nodes(network: TrustNetwork) -> list[int]:
-    """Sorted ids of nodes with no out-edges or all-zero raw out-trust."""
-    _check_structure(network)
-    totals = np.bincount(network.edge_source, weights=network.raw_trust, minlength=network.n)
-    degrees = np.bincount(network.edge_source, minlength=network.n)
-    return [int(i) for i in np.flatnonzero((degrees == 0) | (totals <= 0.0))]

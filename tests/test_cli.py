@@ -1,3 +1,5 @@
+import hashlib
+import os
 import subprocess
 import sys
 
@@ -223,7 +225,29 @@ def test_simulate_rejects_bad_parameters(capsys):
                    "--sizes", "11", "--seed", "1") == 2
     assert run_cli("simulate", "--n", "10", "--k", "12", "--trials", "5",
                    "--sizes", "2", "--seed", "1") == 2
-    capsys.readouterr()
+    assert run_cli("simulate", "--n", "10", "--k", "2", "--trials", "5", "--sizes", "2",
+                   "--workers", str(os.cpu_count() + 1)) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_simulate_stranded_error_same_across_workers(capsys):
+    args = ("simulate", "--n", "20", "--k", "1", "--trials", "50", "--sizes", "2",
+            "--stranded-policy", "reject")
+    assert run_cli(*args, "--workers", "1") == 3
+    serial = capsys.readouterr().err
+    assert serial.endswith("no path to any active node: [5, 7, 17]\n")
+    assert run_cli(*args, "--workers", "2") == 3
+    assert capsys.readouterr().err == serial
+
+
+def test_simulate_output_digest_is_pinned(tmp_path):
+    # results files must stay byte-identical for a fixed seed
+    out = tmp_path / "golden.csv"
+    assert run_cli("simulate", "--n", "100", "--k", "3", "--trials", "300",
+                   "--sizes", "2,5,10", "--seed", "77", "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c15fc6618751a845a69dbd2039dba9a8e3072db2867d0a2ca8f7a998c49d3e6d"
+    )
 
 
 def test_simulate_with_injected_network(four_node_paths, capsys):

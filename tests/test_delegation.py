@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyvote import (
     ActiveSet,
@@ -62,29 +66,77 @@ def test_star_center_absorbs_in_one_step():
 
 def test_reachability_four_node(four_node, four_node_active):
     part = reachability_partition(four_node, four_node_active)
-    assert part.transient == {0, 1}
-    assert part.stranded == frozenset()
+    assert part.transient.tolist() == [0, 1]
+    assert part.stranded.tolist() == []
 
 
 def test_reachability_isolated_node_is_stranded():
     net = _net([0.5, 0.25, 0.75], [(0, 1, 0.75), (1, 0, 0.75)])
     part = reachability_partition(net, ActiveSet([1]))
-    assert part.transient == {0}
-    assert part.stranded == {2}
+    assert part.transient.tolist() == [0]
+    assert part.stranded.tolist() == [2]
 
 
 def test_reachability_all_active_is_empty():
     net = generate_network(6, 2, np.random.default_rng(0))
     part = reachability_partition(net, ActiveSet(range(6)))
-    assert part.transient == frozenset() and part.stranded == frozenset()
+    assert part.transient.tolist() == [] and part.stranded.tolist() == []
 
 
 def test_reachability_ignores_zero_trust_edges():
     # the only route from 0 runs over a zero-weight edge, so 0 is stranded
     net = _net([0.5, 0.5, 0.5], [(0, 1, 0.0), (0, 2, 0.0), (1, 2, 0.9)])
     part = reachability_partition(net, ActiveSet([2]))
-    assert part.stranded == {0}
-    assert part.transient == {1}
+    assert part.stranded.tolist() == [0]
+    assert part.transient.tolist() == [1]
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    raws = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                         min_size=len(pairs), max_size=len(pairs)))
+    active = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    edges = [(s, t, r) for (s, t), r in zip(sorted(pairs), raws)]
+    return _net([0.5] * n, edges), ActiveSet(active)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_reachability_matches_brute_force_closure(graph):
+    net, active = graph
+    n = net.n
+    step = np.eye(n, dtype=bool)
+    positive = net.normalized_trust > 0.0
+    step[net.edge_source[positive], net.edge_target[positive]] = True
+    closure = step
+    while True:
+        wider = (closure.astype(int) @ step.astype(int)) > 0
+        if np.array_equal(wider, closure):
+            break
+        closure = wider
+    members = sorted(active.members)
+    reaches = closure[:, members].any(axis=1)
+    others = [i for i in range(n) if i not in active]
+    part = reachability_partition(net, active)
+    assert part.transient.tolist() == [i for i in others if reaches[i]]
+    assert part.stranded.tolist() == [i for i in others if not reaches[i]]
+    assert part.transient.dtype == part.stranded.dtype == np.int64
+
+
+def test_reachability_long_chain():
+    # 0 -> 1 -> ... -> 1999; the nodes past the active one drain into the
+    # dangling tail, so they are stranded
+    n = 2000
+    net = _net([0.5] * n, [(i, i + 1, 0.5) for i in range(n - 1)])
+    part = reachability_partition(net, ActiveSet([n - 1]))
+    assert part.transient.tolist() == list(range(n - 1))
+    assert part.stranded.tolist() == []
+    part = reachability_partition(net, ActiveSet([999]))
+    assert part.transient.tolist() == list(range(999))
+    assert part.stranded.tolist() == list(range(1000, n))
 
 
 def test_stranded_pair_reject_and_uniform():
@@ -93,6 +145,10 @@ def test_stranded_pair_reject_and_uniform():
     with pytest.raises(StrandedTrustError) as excinfo:
         compute_weights_iterative(net, active)
     assert excinfo.value.stranded == [0, 1]
+    restored = pickle.loads(pickle.dumps(excinfo.value))
+    assert type(restored) is StrandedTrustError
+    assert restored.stranded == [0, 1]
+    assert str(restored) == str(excinfo.value)
     with pytest.raises(StrandedTrustError):
         compute_weights_exact(net, active)
     # hand trace: both stranded units split evenly over the two actives
@@ -226,7 +282,7 @@ def test_residual_monotone_decreasing():
         n = int(rng.integers(5, 40))
         net = generate_network(n, min(3, n - 1), rng)
         active = ActiveSet(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-        if reachability_partition(net, active).stranded:
+        if reachability_partition(net, active).stranded.size:
             continue
         residuals: list[float] = []
         compute_weights_iterative(net, active, callback=residuals.append)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -204,3 +205,5 @@ def test_experiment_config_validation():
         ExperimentConfig(solver="magic")
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(trials=1, active_sizes=(2,)), workers=0)
+    with pytest.raises(ValueError, match="CPU count"):
+        run_experiment(ExperimentConfig(trials=1, active_sizes=(2,)), workers=os.cpu_count() + 1)

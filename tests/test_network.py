@@ -4,7 +4,6 @@ import pytest
 from proxyvote import (
     ActiveSet,
     TrustNetwork,
-    dangling_nodes,
     generate_network,
     normalize_outgoing,
     trust_value,
@@ -46,7 +45,7 @@ def test_normalize_all_zero_raw_is_dangling():
     net, dangling = normalize_outgoing(net)
     assert 0 in dangling
     assert np.all(net.normalized_trust == 0.0)
-    assert dangling_nodes(net) == dangling
+    assert normalize_outgoing(net)[1] == dangling
 
 
 def test_normalize_idempotent():
@@ -183,3 +182,41 @@ def test_active_set_invariants():
         active.validate_for(3)
     with pytest.raises(AttributeError):
         active.members = frozenset()
+
+
+def test_validate_pins_every_message_in_order():
+    nan = float("nan")
+    # endpoint faults skip the normalized-trust checks
+    broken = TrustNetwork(
+        [0.5, nan, 1.5, 0.2],
+        [0, 0, 1, 1, 2, 2, -1, 3, 4],
+        [1, 1, 1, 2, 3, 5, 0, 0, -2],
+        [0.5, 0.5, 0.4, 1.25, nan, 0.5, 0.5, -0.5, 0.5],
+        [0.5] * 9,
+    )
+    assert validate_network(broken) == [
+        "node 1: opinion np.float64(nan) outside [0.0, 1.0]",
+        "node 2: opinion np.float64(1.5) outside [0.0, 1.0]",
+        "edge (-1, 0): source node -1 out of range",
+        "edge (1, 1): self-loop on node 1",
+        "edge (1, 2): raw trust np.float64(1.25) outside [0.0, 1.0]",
+        "edge (2, 3): raw trust np.float64(nan) outside [0.0, 1.0]",
+        "edge (2, 5): target node 5 out of range",
+        "edge (3, 0): raw trust np.float64(-0.5) outside [0.0, 1.0]",
+        "edge (4, -2): source node 4 out of range",
+        "edge (4, -2): target node -2 out of range",
+        "duplicate edge (0, 1)",
+    ]
+    # out-of-range normalized values skip the per-node sum checks
+    bad_norm = TrustNetwork([0.1, 0.2, 0.3], [0, 0, 1], [1, 2, 0], [0.5, 0.5, 1.0],
+                            [0.5, 1.5, nan])
+    assert validate_network(bad_norm) == [
+        "edge (0, 2): normalized trust np.float64(1.5) outside [0.0, 1.0]",
+        "edge (1, 0): normalized trust np.float64(nan) outside [0.0, 1.0]",
+    ]
+    bad_sums = TrustNetwork([0.1, 0.2, 0.3], [0, 0, 1, 2], [1, 2, 0, 0],
+                            [0.5, 0.5, 0.0, 1.0], [0.5, 0.4, 0.25, 1.0])
+    assert validate_network(bad_sums) == [
+        "node 0: normalized out-trust sums to np.float64(0.9), not 1.0",
+        "node 1: dangling node carries nonzero normalized trust",
+    ]
