@@ -9,7 +9,6 @@ experiments.
 
 from .network import (
     ActiveSet,
-    TrustEdge,
     TrustNetwork,
     generate_network,
     normalize_outgoing,
@@ -20,7 +19,6 @@ from .delegation import (
     DelegationError,
     NoConvergenceError,
     PropagationConfig,
-    ReachabilityPartition,
     SingularSystemError,
     StrandedPolicy,
     StrandedTrustError,
@@ -57,11 +55,9 @@ __all__ = [
     "ExperimentResult",
     "NoConvergenceError",
     "PropagationConfig",
-    "ReachabilityPartition",
     "SingularSystemError",
     "StrandedPolicy",
     "StrandedTrustError",
-    "TrustEdge",
     "TrustNetwork",
     "WeightVector",
     "analytic_traditional_error",

@@ -171,30 +171,30 @@ def compute_weights_iterative(
     NoConvergenceError
         Sweep budget exhausted with residual still at or above tolerance.
     """
-    transient_ids, active_ids, stranded_count = _prepare(network, active, config.stranded_policy)
+    active_ids, to_transient, to_active, to_stranded, stranded_count = _flow_matrices(
+        network, active, config.stranded_policy
+    )
     weights = np.ones(len(active_ids), dtype=np.float64)
 
     iterations = 0
     leaked = 0.0
-    if transient_ids.size:
-        to_transient, to_active, to_stranded = _flow_matrices(network, transient_ids, active_ids)
-        mobile = np.ones(len(transient_ids), dtype=np.float64)
+    mobile = np.ones(len(to_transient), dtype=np.float64)
+    residual = float(mobile.sum())
+    converged = residual < config.tolerance
+    while not converged and iterations < config.max_iterations:
+        weights += to_active.T @ mobile
+        leaked += float(to_stranded @ mobile)
+        mobile = to_transient.T @ mobile
         residual = float(mobile.sum())
+        iterations += 1
+        if callback is not None:
+            callback(residual)
         converged = residual < config.tolerance
-        while not converged and iterations < config.max_iterations:
-            weights += to_active.T @ mobile
-            leaked += float(to_stranded @ mobile)
-            mobile = to_transient.T @ mobile
-            residual = float(mobile.sum())
-            iterations += 1
-            if callback is not None:
-                callback(residual)
-            converged = residual < config.tolerance
-        if not converged:
-            raise NoConvergenceError(
-                f"residual mobile trust {residual!r} after {iterations} sweeps "
-                f"(tolerance {config.tolerance!r})"
-            )
+    if not converged:
+        raise NoConvergenceError(
+            f"residual mobile trust {residual!r} after {iterations} sweeps "
+            f"(tolerance {config.tolerance!r})"
+        )
 
     stranded_mass = _fold_in_stranded(weights, stranded_count, leaked)
     return WeightVector(
@@ -219,13 +219,14 @@ def compute_weights_exact(
     absorber, so I - Q is nonsingular; a singular report is surfaced as
     :class:`SingularSystemError`.
     """
-    transient_ids, active_ids, stranded_count = _prepare(network, active, stranded_policy)
+    active_ids, to_transient, to_active, _, stranded_count = _flow_matrices(
+        network, active, stranded_policy
+    )
     weights = np.ones(len(active_ids), dtype=np.float64)
 
     leaked = 0.0
-    if transient_ids.size:
-        to_transient, to_active, _ = _flow_matrices(network, transient_ids, active_ids)
-        identity = np.eye(len(transient_ids))
+    if len(to_transient):
+        identity = np.eye(len(to_transient))
         try:
             absorption = np.linalg.solve(identity - to_transient, to_active)
         except np.linalg.LinAlgError as exc:
@@ -233,7 +234,7 @@ def compute_weights_exact(
         weights += absorption.sum(axis=0)
         # every transient unit is eventually absorbed or leaks into the
         # stranded region, so the leak is the mass the solve left over
-        leaked = max(0.0, float(len(transient_ids) - absorption.sum()))
+        leaked = max(0.0, float(len(to_transient) - absorption.sum()))
 
     stranded_mass = _fold_in_stranded(weights, stranded_count, leaked)
     return WeightVector(
@@ -246,16 +247,6 @@ def compute_weights_exact(
 def _require_normalized(network: TrustNetwork) -> None:
     if not network.is_normalized:
         raise ValueError("network must be normalized (see normalize_outgoing)")
-
-
-def _prepare(
-    network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Partition nodes and apply the stranded policy's reject branch."""
-    partition = reachability_partition(network, active)
-    if partition.stranded.size and policy is StrandedPolicy.REJECT:
-        raise StrandedTrustError(partition.stranded.tolist())
-    return partition.transient, active.sorted_ids(), len(partition.stranded)
 
 
 def _fold_in_stranded(weights: np.ndarray, stranded_count: int, leaked: float) -> float:
@@ -271,15 +262,20 @@ def _fold_in_stranded(weights: np.ndarray, stranded_count: int, leaked: float) -
 
 
 def _flow_matrices(
-    network: TrustNetwork, transient_ids: np.ndarray, active_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense flow blocks for the transient rows of the normalized network.
+    network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Partition the nodes, apply the stranded policy's reject branch and
+    build the dense flow blocks of the transient rows.
 
-    Returns (to_transient, to_active, to_stranded): row i describes where
-    transient node ``transient_ids[i]``'s trust goes in one step, split
-    into transient columns, active columns, and the total lost to the
-    stranded region.
+    Returns (active_ids, to_transient, to_active, to_stranded,
+    stranded_count): row i of the blocks describes where the i-th
+    transient node's trust goes in one step, split into transient
+    columns, active columns, and the total lost to the stranded region.
     """
+    partition = reachability_partition(network, active)
+    if partition.stranded.size and policy is StrandedPolicy.REJECT:
+        raise StrandedTrustError(partition.stranded.tolist())
+    transient_ids, active_ids = partition.transient, active.sorted_ids()
     n = network.n
     t_count, a_count = len(transient_ids), len(active_ids)
     TRANSIENT, ACTIVE, STRANDED = 0, 1, 2
@@ -306,4 +302,4 @@ def _flow_matrices(
     np.add.at(to_active, (src[m], position[tgt_node[m]]), w[m])
     m = tgt_kind == STRANDED
     np.add.at(to_stranded, src[m], w[m])
-    return to_transient, to_active, to_stranded
+    return active_ids, to_transient, to_active, to_stranded, len(partition.stranded)

@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -165,13 +166,10 @@ def run_trial(
 
 
 def _trial_block(
-    config: ExperimentConfig,
-    active_size: int,
-    start: int,
-    stop: int,
-    network: TrustNetwork | None,
-) -> tuple[int, list[tuple[float, float, bool]]]:
-    return start, [run_trial(config, active_size, i, network=network) for i in range(start, stop)]
+    config: ExperimentConfig, network: TrustNetwork | None, block: tuple[int, int, int]
+) -> list[tuple[float, float, bool]]:
+    size, start, stop = block
+    return [run_trial(config, size, i, network=network) for i in range(start, stop)]
 
 
 def run_experiment(
@@ -181,10 +179,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run all trials for every active size and aggregate per-size stats.
 
-    Trials are independent; with ``workers`` > 1 they are distributed
-    over processes, at most ``os.cpu_count()``.  Per-trial results land
-    in arrays indexed by trial, so the aggregate is identical for any
-    schedule or worker count.
+    Trials are cut into (size, start, stop) blocks.  With ``workers`` = 1
+    the blocks run in this process; with more they run on one pool of
+    that many processes (at most ``os.cpu_count()``).  Blocks come back
+    in submission order and trials are seeded by index, so the aggregate
+    is identical for any worker count.  The first failing block's error
+    is raised and blocks not yet started are cancelled.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -197,33 +197,25 @@ def run_experiment(
     elif not config.fresh_network_per_trial:
         network = _shared_network(config)
 
-    rows = []
-    for size in sorted(config.active_sizes):
-        err_t = np.empty(config.trials, dtype=np.float64)
-        err_w = np.empty(config.trials, dtype=np.float64)
-        stranded = np.empty(config.trials, dtype=bool)
-        if workers == 1:
-            for i in range(config.trials):
-                err_t[i], err_w[i], stranded[i] = run_trial(config, size, i, network=network)
-        else:
-            chunk = max(1, -(-config.trials // (workers * 4)))
-            blocks = [
-                (start, min(start + chunk, config.trials))
-                for start in range(0, config.trials, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_trial_block, config, size, start, stop, network)
-                    for start, stop in blocks
-                ]
-                for fut in futures:
-                    start, triples = fut.result()
-                    for offset, (et, ew, st) in enumerate(triples):
-                        err_t[start + offset] = et
-                        err_w[start + offset] = ew
-                        stranded[start + offset] = st
-        rows.append(_aggregate(size, err_t, err_w, stranded))
-    return ExperimentResult(rows=tuple(rows), config=config)
+    sizes = sorted(config.active_sizes)
+    chunk = max(1, -(-config.trials // (workers * 4)))
+    blocks = [
+        (size, start, min(start + chunk, config.trials))
+        for size in sizes
+        for start in range(0, config.trials, chunk)
+    ]
+    block_fn = partial(_trial_block, config, network)
+    if workers == 1:
+        results = list(map(block_fn, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(block_fn, blocks))
+    triples = [triple for block in results for triple in block]
+    err_t, err_w, stranded = (
+        np.array(column).reshape(len(sizes), config.trials) for column in zip(*triples)
+    )
+    rows = tuple(map(_aggregate, sizes, err_t, err_w, stranded))
+    return ExperimentResult(rows=rows, config=config)
 
 
 def _aggregate(size: int, err_t: np.ndarray, err_w: np.ndarray, stranded: np.ndarray) -> ActiveSizeStats:

@@ -29,17 +29,6 @@ def trust_value(opinion_p: float, opinion_q: float) -> float:
     return 1.0 - abs(opinion_p - opinion_q)
 
 
-@dataclass(frozen=True)
-class TrustEdge:
-    """One directed trust edge; ``normalized_trust`` is None until the
-    owning network has been normalized."""
-
-    source: int
-    target: int
-    raw_trust: float
-    normalized_trust: float | None = None
-
-
 class ActiveSet:
     """Immutable non-empty set of node ids acting as representatives."""
 
@@ -156,25 +145,6 @@ class TrustNetwork:
     def is_normalized(self) -> bool:
         return self.normalized_trust is not None
 
-    def out_slice(self, node: int) -> tuple[int, int]:
-        """Index range [lo, hi) of ``node``'s out-edges in the edge arrays."""
-        lo = int(np.searchsorted(self.edge_source, node, side="left"))
-        hi = int(np.searchsorted(self.edge_source, node, side="right"))
-        return lo, hi
-
-    def edges_from(self, node: int) -> list[TrustEdge]:
-        lo, hi = self.out_slice(node)
-        norm = self.normalized_trust
-        return [
-            TrustEdge(
-                int(self.edge_source[i]),
-                int(self.edge_target[i]),
-                float(self.raw_trust[i]),
-                None if norm is None else float(norm[i]),
-            )
-            for i in range(lo, hi)
-        ]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrustNetwork):
             return NotImplemented
@@ -274,7 +244,7 @@ def validate_network(network: TrustNetwork) -> list[str]:
     ops = network.opinions
     bad_ops = ~(np.isfinite(ops) & (ops >= 0.0) & (ops <= 1.0))
     for i in np.flatnonzero(bad_ops):
-        problems.append(f"node {i}: opinion {ops[i]!r} outside [0.0, 1.0]")
+        problems.append(f"node {i}: opinion {float(ops[i])!r} outside [0.0, 1.0]")
 
     src, tgt, raw = network.edge_source, network.edge_target, network.raw_trust
     bad_source = (src < 0) | (src >= n)
@@ -290,7 +260,7 @@ def validate_network(network: TrustNetwork) -> list[str]:
         if self_loop[i]:
             problems.append(f"edge ({s}, {t}): self-loop on node {s}")
         if bad_raw[i]:
-            problems.append(f"edge ({s}, {t}): raw trust {raw[i]!r} outside [0.0, 1.0]")
+            problems.append(f"edge ({s}, {t}): raw trust {float(raw[i])!r} outside [0.0, 1.0]")
 
     # canonical order makes duplicates adjacent
     duplicate = (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
@@ -302,7 +272,7 @@ def validate_network(network: TrustNetwork) -> list[str]:
         bad_norm = ~(np.isfinite(norm) & (norm >= 0.0) & (norm <= 1.0))
         for i in np.flatnonzero(bad_norm):
             problems.append(
-                f"edge ({src[i]}, {tgt[i]}): normalized trust {norm[i]!r} outside [0.0, 1.0]"
+                f"edge ({src[i]}, {tgt[i]}): normalized trust {float(norm[i])!r} outside [0.0, 1.0]"
             )
         if not np.any(bad_norm) and n > 0:
             totals = np.bincount(src, weights=raw, minlength=n)
@@ -314,7 +284,7 @@ def validate_network(network: TrustNetwork) -> list[str]:
             for i in np.flatnonzero((degrees > 0) & (bad_sum | bad_dangling)):
                 if bad_sum[i]:
                     problems.append(
-                        f"node {i}: normalized out-trust sums to {norm_sums[i]!r}, not 1.0"
+                        f"node {i}: normalized out-trust sums to {float(norm_sums[i])!r}, not 1.0"
                     )
                 else:
                     problems.append(

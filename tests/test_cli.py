@@ -248,6 +248,13 @@ def test_simulate_output_digest_is_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "c15fc6618751a845a69dbd2039dba9a8e3072db2867d0a2ca8f7a998c49d3e6d"
     )
+    # a pool, three sizes and a trial count that does not split evenly into blocks
+    assert run_cli("simulate", "--n", "100", "--k", "3", "--trials", "301",
+                   "--sizes", "2,5,100", "--seed", "5", "--workers", "2",
+                   "--output", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "34072b9db71559027f4a5291123821f5baa3ed8bba942636f39b0ffdb5358e57"
+    )
 
 
 def test_simulate_with_injected_network(four_node_paths, capsys):

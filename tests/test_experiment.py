@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from proxyvote import (
     run_experiment,
     run_trial,
 )
+from proxyvote import experiment
 from conftest import four_node_network
 
 UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
@@ -154,6 +156,23 @@ def test_run_experiment_deterministic_and_schedule_independent():
     parallel = run_experiment(config, workers=2)
     assert sequential.rows == again.rows
     assert sequential.rows == parallel.rows
+
+
+def test_run_experiment_starts_at_most_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    config = ExperimentConfig(n=20, k=2, trials=7, active_sizes=(2, 5, 20), master_seed=4)
+    parallel = run_experiment(config, workers=2)
+    assert len(pools) == 1
+    serial = run_experiment(config, workers=1)
+    assert len(pools) == 1
+    assert serial.rows == parallel.rows
 
 
 def test_run_experiment_fixed_network_mode_deterministic():
