@@ -6,7 +6,7 @@ Subcommands: ``generate`` (write a random network), ``weights``
 invariant violations).
 
 Exit codes: 0 success, 1 usage error, 2 validation or parse error,
-3 stranded trust / no convergence.
+3 stranded trust / no convergence / ill-conditioned exact solve.
 """
 
 from __future__ import annotations

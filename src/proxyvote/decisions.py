@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delegation import WeightVector
+from .delegation import CONSERVATION_TOL, WeightVector
 from .network import ActiveSet, TrustNetwork
-
-#: default bound on |sum of weights - n| accepted by the weighted decision
-CONSERVATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,8 +26,8 @@ class DecisionReport:
     group_decision: float
     expected_decision: float
     error_traditional: float
-    weighted_group_decision: float | None = None
-    error_weighted: float | None = None
+    weighted_group_decision: float
+    error_weighted: float
 
 
 def group_decision(network: TrustNetwork, active: ActiveSet) -> float:
@@ -51,12 +48,11 @@ def weighted_group_decision(
     network: TrustNetwork,
     active: ActiveSet,
     weights: WeightVector,
-    conservation_tol: float = CONSERVATION_TOL,
 ) -> float:
     """Delegation-weighted average: (1/n) * sum of weight(p) * opinion(p).
 
     The weight vector must cover exactly the active set and its weights
-    must sum to the population size within ``conservation_tol``;
+    must sum to the population size within ``CONSERVATION_TOL``;
     otherwise the vector is rejected as corrupted.
     """
     active.validate_for(network.n)
@@ -64,10 +60,10 @@ def weighted_group_decision(
         raise ValueError("weight vector does not cover exactly the active set")
     ids = active.sorted_ids()
     w = np.array([weights.weights[int(i)] for i in ids], dtype=np.float64)
-    if abs(float(np.sum(w)) - network.n) > conservation_tol:
+    if abs(float(np.sum(w)) - network.n) > CONSERVATION_TOL:
         raise ValueError(
             f"corrupted weight vector: weights sum to {float(np.sum(w))!r}, "
-            f"expected {network.n} within {conservation_tol}"
+            f"expected {network.n} within {CONSERVATION_TOL}"
         )
     return float(np.sum(w * network.opinions[ids]) / network.n)
 
@@ -80,20 +76,16 @@ def decision_error(outcome: float, expected: float) -> float:
 def decision_report(
     network: TrustNetwork,
     active: ActiveSet,
-    weights: WeightVector | None = None,
+    weights: WeightVector,
 ) -> DecisionReport:
     """Evaluate both decision methods against the expected decision."""
     outcome = group_decision(network, active)
     expected = expected_decision(network)
-    weighted = None
-    err_weighted = None
-    if weights is not None:
-        weighted = weighted_group_decision(network, active, weights)
-        err_weighted = decision_error(weighted, expected)
+    weighted = weighted_group_decision(network, active, weights)
     return DecisionReport(
         group_decision=outcome,
         expected_decision=expected,
         error_traditional=decision_error(outcome, expected),
         weighted_group_decision=weighted,
-        error_weighted=err_weighted,
+        error_weighted=decision_error(weighted, expected),
     )

@@ -29,6 +29,9 @@ import numpy as np
 
 from .network import ActiveSet, TrustNetwork
 
+#: bound on |sum of weights - n| that a weight vector must meet
+CONSERVATION_TOL = 1e-6
+
 
 class DelegationError(Exception):
     """Base class for weight-computation failures."""
@@ -52,7 +55,7 @@ class NoConvergenceError(DelegationError):
 
 
 class SingularSystemError(DelegationError):
-    """Defensive guard: the absorption system was reported singular."""
+    """The absorption system is singular or too ill-conditioned to conserve trust."""
 
 
 class StrandedPolicy(enum.Enum):
@@ -196,12 +199,7 @@ def compute_weights_iterative(
             f"(tolerance {config.tolerance!r})"
         )
 
-    stranded_mass = _fold_in_stranded(weights, stranded_count, leaked)
-    return WeightVector(
-        weights={int(a): float(w) for a, w in zip(active_ids, weights)},
-        stranded_mass=stranded_mass,
-        iterations_used=iterations,
-    )
+    return _weight_vector(active_ids, weights, stranded_count, leaked, iterations)
 
 
 def compute_weights_exact(
@@ -216,7 +214,9 @@ def compute_weights_exact(
     X solve (I - Q) X = R, and the weight of active node a is
     ``1 + sum_t X[t, a]`` plus any stranded mass assigned by policy.
     After stranded nodes are removed every transient node reaches an
-    absorber, so I - Q is nonsingular; a singular report is surfaced as
+    absorber, so I - Q is nonsingular; a singular report, or a solution
+    whose absorbed mass misses the transient count by more than
+    ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
     :class:`SingularSystemError`.
     """
     active_ids, to_transient, to_active, _, stranded_count = _flow_matrices(
@@ -234,14 +234,16 @@ def compute_weights_exact(
         weights += absorption.sum(axis=0)
         # every transient unit is eventually absorbed or leaks into the
         # stranded region, so the leak is the mass the solve left over
-        leaked = max(0.0, float(len(to_transient) - absorption.sum()))
+        absorbed = float(absorption.sum())
+        leaked = len(to_transient) - absorbed
+        if leaked < -CONSERVATION_TOL or (stranded_count == 0 and leaked > CONSERVATION_TOL):
+            raise SingularSystemError(
+                f"absorption system too ill-conditioned: {absorbed!r} of "
+                f"{len(to_transient)} transient units absorbed"
+            )
+        leaked = max(0.0, leaked)
 
-    stranded_mass = _fold_in_stranded(weights, stranded_count, leaked)
-    return WeightVector(
-        weights={int(a): float(w) for a, w in zip(active_ids, weights)},
-        stranded_mass=stranded_mass,
-        iterations_used=None,
-    )
+    return _weight_vector(active_ids, weights, stranded_count, leaked, None)
 
 
 def _require_normalized(network: TrustNetwork) -> None:
@@ -249,16 +251,24 @@ def _require_normalized(network: TrustNetwork) -> None:
         raise ValueError("network must be normalized (see normalize_outgoing)")
 
 
-def _fold_in_stranded(weights: np.ndarray, stranded_count: int, leaked: float) -> float:
+def _weight_vector(
+    active_ids: np.ndarray, weights: np.ndarray, stranded_count: int, leaked: float,
+    iterations: int | None,
+) -> WeightVector:
     """Split stranded mass (initial stranded units plus mass that leaked
-    out of the transient region) evenly over the active weights.  Returns
-    exactly 0.0 when nothing was structurally stranded."""
-    if stranded_count == 0:
-        # no stranded region exists, so nothing can leak; drop fp residue
-        return 0.0
-    stranded_mass = float(stranded_count) + leaked
-    weights += stranded_mass / len(weights)
-    return stranded_mass
+    out of the transient region) evenly over the active weights and key
+    them by active id.  Stranded mass is exactly 0.0 when nothing was
+    structurally stranded."""
+    stranded_mass = 0.0
+    # with no stranded region nothing can leak, so any leak is fp residue
+    if stranded_count:
+        stranded_mass = float(stranded_count) + leaked
+        weights += stranded_mass / len(weights)
+    return WeightVector(
+        weights={int(a): float(w) for a, w in zip(active_ids, weights)},
+        stranded_mass=stranded_mass,
+        iterations_used=iterations,
+    )
 
 
 def _flow_matrices(

@@ -135,14 +135,12 @@ def run_trial(
     active_size: int,
     trial_index: int,
     network: TrustNetwork | None = None,
-    active: ActiveSet | None = None,
 ) -> tuple[float, float, bool]:
     """Run one trial; returns (err_traditional, err_weighted, stranded).
 
     The trial's randomness comes from a stream derived from
     (master_seed, active_size, trial_index) only.  ``network`` injects a
-    fixed network; ``active`` forces a specific active set instead of
-    sampling one (its size must match ``active_size``).
+    fixed network.
     """
     if not 1 <= active_size <= config.n:
         raise ValueError(f"active_size {active_size} out of [1, {config.n}]")
@@ -156,10 +154,7 @@ def run_trial(
         network = generate_network(config.n, config.k, rng)
     else:
         network = _shared_network(config)
-    if active is None:
-        active = ActiveSet(rng.choice(config.n, size=active_size, replace=False))
-    elif len(active) != active_size:
-        raise ValueError(f"explicit active set has size {len(active)}, expected {active_size}")
+    active = ActiveSet(rng.choice(config.n, size=active_size, replace=False))
     weights = _solve_weights(network, active, config)
     report = decision_report(network, active, weights)
     return report.error_traditional, report.error_weighted, weights.stranded_mass > 0.0

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .delegation import WeightVector
 from .decisions import DecisionReport
-from .experiment import ActiveSizeStats, ExperimentConfig, ExperimentResult
+from .experiment import ExperimentConfig, ExperimentResult
 from .network import TrustNetwork, normalize_outgoing, validate_network
 
 NODES_HEADER = "id,opinion"
@@ -64,10 +64,10 @@ def load_network(
     problems: list[str] = []
     opinions = _parse_nodes(nodes_path, problems)
     n = len(opinions)
-    edges = _parse_edges(edges_path, n, problems)
+    src, tgt, raw = _parse_edges(edges_path, n, problems)
     if not opinions:
         raise NetworkFormatError("\n".join(problems) or f"{nodes_path}: no nodes")
-    network = TrustNetwork.from_edges(opinions, edges)
+    network = TrustNetwork(opinions, src, tgt, raw)
     problems += validate_network(network)
     if problems:
         raise NetworkFormatError("\n".join(problems))
@@ -109,12 +109,12 @@ def _parse_nodes(path: str | os.PathLike, problems: list[str]) -> list[float]:
 
 def _parse_edges(
     path: str | os.PathLike, n: int, problems: list[str]
-) -> list[tuple[int, int, float]]:
+) -> tuple[list[int], list[int], list[float]]:
+    src, tgt, raw = [], [], []
     lines = _read_lines(path)
     if not lines or lines[0] != EDGES_HEADER:
         problems.append(f"{path}:1: expected header {EDGES_HEADER!r}")
-        return []
-    edges: list[tuple[int, int, float]] = []
+        return src, tgt, raw
     seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -139,8 +139,10 @@ def _parse_edges(
             row_ok = False
         seen.add((source, target))
         if row_ok:
-            edges.append((source, target, trust))
-    return edges
+            src.append(source)
+            tgt.append(target)
+            raw.append(trust)
+    return src, tgt, raw
 
 
 def format_weights(weights: WeightVector) -> str:
@@ -154,41 +156,14 @@ def format_weights(weights: WeightVector) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_weights(weights: WeightVector, path: str | os.PathLike) -> None:
-    write_text(path, format_weights(weights))
-
-
-def load_weights(path: str | os.PathLike) -> WeightVector:
-    lines = _read_lines(path)
-    meta = _pop_comments(lines)
-    if not lines or lines[0] != WEIGHTS_HEADER:
-        raise NetworkFormatError(f"{path}:1: expected header {WEIGHTS_HEADER!r}")
-    mapping: dict[int, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        try:
-            node, w = int(parts[0]), float(parts[1])
-        except (ValueError, IndexError):
-            raise NetworkFormatError(f"{path}:{lineno}: could not parse {line!r}") from None
-        mapping[node] = w
-    iterations = meta.get("iterations", "none")
-    return WeightVector(
-        weights=mapping,
-        stranded_mass=float(meta.get("stranded_mass", "0")),
-        iterations_used=None if iterations == "none" else int(iterations),
-    )
-
-
 def format_report(report: DecisionReport) -> str:
     lines = [
         f"group_decision,{fmt(report.group_decision)}",
         f"expected_decision,{fmt(report.expected_decision)}",
+        f"weighted_group_decision,{fmt(report.weighted_group_decision)}",
+        f"error_traditional,{fmt(report.error_traditional)}",
+        f"error_weighted,{fmt(report.error_weighted)}",
     ]
-    if report.weighted_group_decision is not None:
-        lines.append(f"weighted_group_decision,{fmt(report.weighted_group_decision)}")
-    lines.append(f"error_traditional,{fmt(report.error_traditional)}")
-    if report.error_weighted is not None:
-        lines.append(f"error_weighted,{fmt(report.error_weighted)}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,39 +193,6 @@ def format_results(result: ExperimentResult) -> str:
             f"{fmt(row.stderr_weighted)},{fmt(row.stranded_fraction)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_results(result: ExperimentResult, path: str | os.PathLike) -> None:
-    write_text(path, format_results(result))
-
-
-def load_results(path: str | os.PathLike) -> tuple[tuple[ActiveSizeStats, ...], dict[str, str]]:
-    """Rows and metadata of a results file (inverse of :func:`save_results`
-    up to the config echo being returned as plain strings)."""
-    lines = _read_lines(path)
-    meta = _pop_comments(lines)
-    if not lines or lines[0] != RESULTS_HEADER:
-        raise NetworkFormatError(f"{path}:1: expected header {RESULTS_HEADER!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise NetworkFormatError(f"{path}:{lineno}: expected 7 columns, got {line!r}")
-        try:
-            rows.append(
-                ActiveSizeStats(
-                    active_size=int(parts[0]),
-                    trials=int(parts[1]),
-                    mean_err_traditional=float(parts[2]),
-                    stderr_traditional=float(parts[3]),
-                    mean_err_weighted=float(parts[4]),
-                    stderr_weighted=float(parts[5]),
-                    stranded_fraction=float(parts[6]),
-                )
-            )
-        except ValueError:
-            raise NetworkFormatError(f"{path}:{lineno}: could not parse {line!r}") from None
-    return tuple(rows), meta
 
 
 def parse_config_file(path: str | os.PathLike, allowed: Iterable[str]) -> dict[str, str]:
@@ -317,13 +259,3 @@ def _read_lines(path: str | os.PathLike, keep_blank: bool = False) -> list[str]:
         return lines
     return [line for line in lines if line.strip() != ""]
 
-
-def _pop_comments(lines: list[str]) -> dict[str, str]:
-    """Strip leading ``# key=value`` lines in place and return them."""
-    meta: dict[str, str] = {}
-    while lines and lines[0].startswith("#"):
-        body = lines.pop(0)[1:].strip()
-        key, sep, value = body.partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
-    return meta

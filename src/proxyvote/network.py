@@ -118,21 +118,6 @@ class TrustNetwork:
         object.__setattr__(self, "raw_trust", raw)
         object.__setattr__(self, "normalized_trust", norm)
 
-    @classmethod
-    def from_edges(
-        cls,
-        opinions: Iterable[float],
-        edges: Iterable[tuple[int, int, float]],
-    ) -> "TrustNetwork":
-        """Build a raw (un-normalized) network from an edge list of
-        (source, target, raw_trust) triples."""
-        es = list(edges)
-        if es:
-            src, tgt, raw = zip(*es)
-        else:
-            src, tgt, raw = (), (), ()
-        return cls(np.asarray(list(opinions), dtype=np.float64), src, tgt, raw)
-
     @property
     def n(self) -> int:
         return len(self.opinions)

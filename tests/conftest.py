@@ -11,10 +11,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 def four_node_network() -> TrustNetwork:
     """The worked four-node example: A(0.8)->B(0.8) fully, B splits 1:3
     between C(0.5) and D(0.9); C and D are the representatives."""
-    net = TrustNetwork.from_edges(
-        [0.8, 0.8, 0.5, 0.9],
-        [(0, 1, 1.0), (1, 2, 0.25), (1, 3, 0.75)],
-    )
+    net = TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 3], [1.0, 0.25, 0.75])
     net, _ = normalize_outgoing(net)
     return net
 

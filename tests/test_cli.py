@@ -2,11 +2,11 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from proxyvote.cli import main
-from proxyvote import fileio
 
 
 def run_cli(*args):
@@ -69,9 +69,9 @@ def test_weights_output_file_round_trips(four_node_paths, tmp_path):
         "weights", "--nodes", nodes, "--edges", edges, "--active", "2,3",
         "--output", str(out),
     ) == 0
-    vector = fileio.load_weights(out)
-    assert vector.weights == {2: 1.5, 3: 2.5}
-    assert vector.iterations_used == 2
+    text = out.read_text()
+    assert text.startswith("# stranded_mass=0\n# iterations=2\nid,weight\n")
+    assert _parse_kv(text) == {"2": 1.5, "3": 2.5}
 
 
 def test_generate_then_validate_and_determinism(tmp_path, capsys):
@@ -81,8 +81,8 @@ def test_generate_then_validate_and_determinism(tmp_path, capsys):
                    "--nodes", a_nodes, "--edges", a_edges) == 0
     assert run_cli("generate", "--n", "30", "--k", "3", "--seed", "9",
                    "--nodes", b_nodes, "--edges", b_edges) == 0
-    assert open(a_nodes, "rb").read() == open(b_nodes, "rb").read()
-    assert open(a_edges, "rb").read() == open(b_edges, "rb").read()
+    assert Path(a_nodes).read_bytes() == Path(b_nodes).read_bytes()
+    assert Path(a_edges).read_bytes() == Path(b_edges).read_bytes()
     assert run_cli("validate", "--nodes", a_nodes, "--edges", a_edges) == 0
     capsys.readouterr()
 
@@ -144,7 +144,13 @@ def test_exit_code_stranded_and_no_convergence(fixtures_dir, tmp_path, capsys):
     assert run_cli("weights", "--nodes", str(tmp_path / "cn.csv"),
                    "--edges", str(tmp_path / "ce.csv"), "--active", "2",
                    "--max-iterations", "1") == 3
+    # near-closed 0 <-> 1 cycle: the exact solve cannot conserve trust
+    (tmp_path / "ne.csv").write_text("source,target,trust\n0,1,0.5\n1,0,0.5\n1,2,1e-16\n")
+    (tmp_path / "nn.csv").write_text("id,opinion\n0,0.5\n1,0.5\n2,0.5\n")
     capsys.readouterr()
+    assert run_cli("weights", "--nodes", str(tmp_path / "nn.csv"),
+                   "--edges", str(tmp_path / "ne.csv"), "--active", "2", "--exact") == 3
+    assert "ill-conditioned" in capsys.readouterr().err
 
 
 def test_weights_uniform_policy_on_stranded_fixture(fixtures_dir, capsys):

@@ -31,16 +31,16 @@ def test_four_node_decision_values(four_node, four_node_active):
 
 
 def test_group_decision_single_and_constant():
-    net = TrustNetwork.from_edges([0.3, 0.62, 0.9], [])
+    net = TrustNetwork([0.3, 0.62, 0.9], [], [], [])
     assert group_decision(net, ActiveSet([1])) == 0.62
-    flat = TrustNetwork.from_edges([0.4] * 5, [])
+    flat = TrustNetwork([0.4] * 5, [], [], [])
     for members in ([0], [1, 3], list(range(5))):
         assert group_decision(flat, ActiveSet(members)) == 0.4
 
 
 def test_expected_decision_examples():
-    assert expected_decision(TrustNetwork.from_edges([0.0, 1.0], [])) == 0.5
-    assert expected_decision(TrustNetwork.from_edges([0.7] * 9, [])) == pytest.approx(
+    assert expected_decision(TrustNetwork([0.0, 1.0], [], [], [])) == 0.5
+    assert expected_decision(TrustNetwork([0.7] * 9, [], [], [])) == pytest.approx(
         0.7, abs=1e-15
     )
 
@@ -53,7 +53,7 @@ def test_weighted_reduces_to_expected_with_unit_weights():
 
 
 def test_weighted_single_active_with_full_weight():
-    net = TrustNetwork.from_edges([0.1, 0.8, 0.3, 0.4], [])
+    net = TrustNetwork([0.1, 0.8, 0.3, 0.4], [], [], [])
     vector = WeightVector(weights={1: 4.0})
     assert weighted_group_decision(net, ActiveSet([1]), vector) == pytest.approx(
         0.8, abs=1e-15
@@ -125,4 +125,4 @@ def test_translation_equivariance():
 
 def test_empty_network_rejected():
     with pytest.raises(ValueError):
-        expected_decision(TrustNetwork.from_edges([], []))
+        expected_decision(TrustNetwork([], [], [], []))

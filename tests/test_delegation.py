@@ -9,6 +9,7 @@ from proxyvote import (
     ActiveSet,
     NoConvergenceError,
     PropagationConfig,
+    SingularSystemError,
     StrandedPolicy,
     StrandedTrustError,
     TrustNetwork,
@@ -24,7 +25,10 @@ UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
 
 
 def _net(opinions, edges):
-    net, _ = normalize_outgoing(TrustNetwork.from_edges(opinions, edges))
+    src = [s for s, _, _ in edges]
+    tgt = [t for _, t, _ in edges]
+    raw = [r for _, _, r in edges]
+    net, _ = normalize_outgoing(TrustNetwork(opinions, src, tgt, raw))
     return net
 
 
@@ -124,6 +128,40 @@ def test_reachability_matches_brute_force_closure(graph):
     assert part.transient.tolist() == [i for i in others if reaches[i]]
     assert part.stranded.tolist() == [i for i in others if not reaches[i]]
     assert part.transient.dtype == part.stranded.dtype == np.int64
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_solvers_conserve_and_agree_or_raise(graph):
+    net, active = graph
+    vectors = []
+    try:
+        vectors.append(compute_weights_exact(net, active, StrandedPolicy.UNIFORM_TO_ACTIVE))
+    except SingularSystemError:
+        pass
+    try:
+        vectors.append(compute_weights_iterative(net, active, UNIFORM))
+    except NoConvergenceError:
+        pass
+    for vector in vectors:
+        assert abs(vector.total() - net.n) <= 1e-6
+        assert min(vector.weights.values()) >= 1.0 - 1e-9
+    if len(vectors) == 2:
+        exact, iterative = (vector.weights for vector in vectors)
+        for node, w in exact.items():
+            assert abs(iterative[node] - w) <= 1e-6
+
+
+@pytest.mark.parametrize("eps, conserved", [(1e-3, True), (1e-8, True), (1e-12, False), (1e-16, False)])
+def test_exact_near_closed_cycle_conserves_or_raises(eps, conserved):
+    # 0 <-> 1 pass half their trust back and forth; 1 leaks eps to the
+    # representative 2, so all three units end there, however slowly
+    net = _net([0.5] * 3, [(0, 1, 0.5), (1, 0, 0.5), (1, 2, eps)])
+    if conserved:
+        assert compute_weights_exact(net, ActiveSet([2])).weights[2] == pytest.approx(3.0, abs=1e-6)
+    else:
+        with pytest.raises(SingularSystemError):
+            compute_weights_exact(net, ActiveSet([2]))
 
 
 def test_reachability_long_chain():
@@ -328,9 +366,7 @@ def test_propagation_config_validation():
 
 
 def test_unnormalized_network_rejected(four_node_active):
-    raw = TrustNetwork.from_edges(
-        [0.8, 0.8, 0.5, 0.9], [(0, 1, 1.0), (1, 2, 0.25), (1, 3, 0.75)]
-    )
+    raw = TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 3], [1.0, 0.25, 0.75])
     with pytest.raises(ValueError):
         compute_weights_iterative(raw, four_node_active)
 

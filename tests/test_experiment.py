@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from proxyvote import (
-    ActiveSet,
     ExperimentConfig,
     PropagationConfig,
     StrandedPolicy,
@@ -85,10 +84,11 @@ def test_run_trial_full_participation_is_exact_zero():
 
 def test_run_trial_on_injected_four_node_network():
     net = four_node_network()
+    # master seed 15 samples the representatives {2, 3} at size 2, trial 0
     config = ExperimentConfig(
-        n=4, k=3, trials=1, active_sizes=(2,), master_seed=1, fresh_network_per_trial=False
+        n=4, k=3, trials=1, active_sizes=(2,), master_seed=15, fresh_network_per_trial=False
     )
-    err_t, err_w, stranded = run_trial(config, 2, 0, network=net, active=ActiveSet([2, 3]))
+    err_t, err_w, stranded = run_trial(config, 2, 0, network=net)
     assert err_t == pytest.approx(0.05, abs=1e-12)
     assert err_w == pytest.approx(0.0, abs=1e-12)
     assert stranded is False
@@ -102,14 +102,12 @@ def test_run_trial_rejects_bad_inputs():
         run_trial(config, 11, 0)
     with pytest.raises(ValueError):
         run_trial(config, 3, -1)
-    with pytest.raises(ValueError):
-        run_trial(config, 3, 0, active=ActiveSet([1, 2]))
 
 
 def test_run_trial_propagates_stranded_under_reject():
-    net, _ = normalize_outgoing(
-        TrustNetwork.from_edges([0.6, 0.4, 0.2, 1.0], [(0, 1, 1.0), (1, 0, 1.0)])
-    )
+    # every 2-node active set strands trust here: 2 and 3 are dangling, and
+    # the 0 <-> 1 pair has no edge out
+    net, _ = normalize_outgoing(TrustNetwork([0.6, 0.4, 0.2, 1.0], [0, 1], [1, 0], [1.0, 1.0]))
     config = ExperimentConfig(
         n=4,
         k=1,
@@ -120,12 +118,12 @@ def test_run_trial_propagates_stranded_under_reject():
         propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT),
     )
     with pytest.raises(StrandedTrustError):
-        run_trial(config, 2, 0, network=net, active=ActiveSet([2, 3]))
+        run_trial(config, 2, 0, network=net)
     uniform_cfg = ExperimentConfig(
         n=4, k=1, trials=1, active_sizes=(2,), master_seed=1,
         fresh_network_per_trial=False, propagation=UNIFORM,
     )
-    err_t, err_w, stranded = run_trial(uniform_cfg, 2, 0, network=net, active=ActiveSet([2, 3]))
+    err_t, err_w, stranded = run_trial(uniform_cfg, 2, 0, network=net)
     assert stranded is True
     assert math.isfinite(err_t) and math.isfinite(err_w)
 

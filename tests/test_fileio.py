@@ -3,6 +3,7 @@ import pytest
 
 from proxyvote import (
     ActiveSet,
+    ActiveSizeStats,
     ExperimentConfig,
     WeightVector,
     compute_weights_exact,
@@ -125,14 +126,15 @@ def test_missing_file_is_format_error(tmp_path):
         fileio.load_network(tmp_path / "absent.csv", tmp_path / "absent2.csv")
 
 
-def test_weights_round_trip(tmp_path):
-    vector = WeightVector(weights={2: 1.5, 3: 2.5}, stranded_mass=0.25, iterations_used=17)
-    path = tmp_path / "w.csv"
-    fileio.save_weights(vector, path)
-    assert fileio.load_weights(path) == vector
+def test_format_weights():
+    vector = WeightVector(weights={3: 2.5, 2: 1.5}, stranded_mass=0.25, iterations_used=17)
+    assert fileio.format_weights(vector) == (
+        "# stranded_mass=0.25\n# iterations=17\nid,weight\n2,1.5\n3,2.5\n"
+    )
     exact_vector = WeightVector(weights={0: 4.0}, stranded_mass=0.0, iterations_used=None)
-    fileio.save_weights(exact_vector, path)
-    assert fileio.load_weights(path) == exact_vector
+    assert fileio.format_weights(exact_vector) == (
+        "# stranded_mass=0\n# iterations=none\nid,weight\n0,4\n"
+    )
 
 
 def test_report_format_contains_all_values(four_node, four_node_active):
@@ -147,28 +149,23 @@ def test_report_format_contains_all_values(four_node, four_node_active):
     assert float(parsed["error_weighted"]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_report_format_omits_weighted_lines_without_weights(four_node, four_node_active):
-    report = decision_report(four_node, four_node_active)
-    text = fileio.format_report(report)
-    assert "weighted" not in text
-    assert "error_traditional" in text
-
-
-def test_results_round_trip(tmp_path):
+def test_results_round_trip():
     config = ExperimentConfig(n=12, k=2, trials=30, active_sizes=(3, 12), master_seed=2)
     result = run_experiment(config)
-    path = tmp_path / "results.csv"
-    fileio.save_results(result, path)
-    rows, meta = fileio.load_results(path)
-    assert rows == result.rows
+    lines = fileio.format_results(result).splitlines()
+    meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
     assert meta["n"] == "12" and meta["trials"] == "30"
     assert meta["solver"] == "exact"
+    body = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    rows = tuple(
+        ActiveSizeStats(int(p[0]), int(p[1]), *(float(x) for x in p[2:])) for p in body
+    )
+    assert rows == result.rows
 
 
-def test_results_header_schema(tmp_path):
+def test_results_header_schema():
     config = ExperimentConfig(n=10, k=2, trials=5, active_sizes=(2,), master_seed=2)
-    fileio.save_results(run_experiment(config), tmp_path / "r.csv")
-    lines = (tmp_path / "r.csv").read_text().splitlines()
+    lines = fileio.format_results(run_experiment(config)).splitlines()
     header = [line for line in lines if not line.startswith("#")][0]
     assert header == (
         "active_size,trials,mean_err_traditional,stderr_traditional,"

@@ -27,21 +27,21 @@ def test_trust_value_symmetric_and_bounded():
 
 
 def test_normalize_divides_by_row_total():
-    net = TrustNetwork.from_edges([0.5, 0.5, 0.5], [(0, 1, 0.7), (0, 2, 0.9)])
+    net = TrustNetwork([0.5, 0.5, 0.5], [0, 0], [1, 2], [0.7, 0.9])
     net, dangling = normalize_outgoing(net)
     np.testing.assert_allclose(net.normalized_trust, [0.4375, 0.5625], atol=1e-15)
     assert dangling == [1, 2]
 
 
 def test_normalize_single_edge_takes_everything():
-    net = TrustNetwork.from_edges([0.5, 0.5], [(0, 1, 0.3)])
+    net = TrustNetwork([0.5, 0.5], [0], [1], [0.3])
     net, dangling = normalize_outgoing(net)
     assert net.normalized_trust[0] == 1.0
     assert dangling == [1]
 
 
 def test_normalize_all_zero_raw_is_dangling():
-    net = TrustNetwork.from_edges([0.5, 0.5, 0.5], [(0, 1, 0.0), (0, 2, 0.0)])
+    net = TrustNetwork([0.5, 0.5, 0.5], [0, 0], [1, 2], [0.0, 0.0])
     net, dangling = normalize_outgoing(net)
     assert 0 in dangling
     assert np.all(net.normalized_trust == 0.0)
@@ -119,22 +119,20 @@ def test_generate_raw_trust_matches_opinion_similarity():
 
 
 def test_validate_reports_self_loop():
-    net = TrustNetwork.from_edges([0.5, 0.5, 0.5], [(2, 2, 0.5)])
+    net = TrustNetwork([0.5, 0.5, 0.5], [2], [2], [0.5])
     problems = validate_network(net)
     assert len(problems) == 1
     assert "self-loop" in problems[0] and "2" in problems[0]
 
 
 def test_validate_reports_opinion_range():
-    net = TrustNetwork.from_edges([1.3, 0.5], [(0, 1, 0.5)])
+    net = TrustNetwork([1.3, 0.5], [0], [1], [0.5])
     problems = validate_network(net)
     assert any("node 0" in p and "opinion" in p for p in problems)
 
 
 def test_validate_reports_duplicates_and_bad_endpoints():
-    net = TrustNetwork.from_edges(
-        [0.5, 0.5], [(0, 1, 0.5), (0, 1, 0.4), (0, 9, 0.5), (1, 0, 1.5)]
-    )
+    net = TrustNetwork([0.5, 0.5], [0, 0, 0, 1], [1, 1, 9, 0], [0.5, 0.4, 0.5, 1.5])
     problems = "\n".join(validate_network(net))
     assert "duplicate edge (0, 1)" in problems
     assert "target node 9 out of range" in problems
@@ -149,7 +147,7 @@ def test_validate_reports_broken_normalization():
 
 
 def test_validate_accepts_empty_network_edge_case():
-    assert validate_network(TrustNetwork.from_edges([], [])) == ["network has no nodes"]
+    assert validate_network(TrustNetwork([], [], [], [])) == ["network has no nodes"]
 
 
 def test_network_immutable():
@@ -161,9 +159,7 @@ def test_network_immutable():
 
 
 def test_network_canonical_edge_order():
-    net = TrustNetwork.from_edges(
-        [0.1, 0.2, 0.3], [(2, 0, 0.5), (0, 2, 0.5), (0, 1, 0.5)]
-    )
+    net = TrustNetwork([0.1, 0.2, 0.3], [2, 0, 0], [0, 2, 1], [0.5, 0.5, 0.5])
     pairs = list(zip(net.edge_source, net.edge_target))
     assert pairs == sorted(pairs)
 
