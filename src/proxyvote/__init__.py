@@ -11,7 +11,6 @@ from .network import (
     ActiveSet,
     TrustNetwork,
     generate_network,
-    normalize_outgoing,
     trust_value,
     validate_network,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "expected_decision",
     "generate_network",
     "group_decision",
-    "normalize_outgoing",
     "reachability_partition",
     "run_experiment",
     "run_trial",

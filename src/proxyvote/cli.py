@@ -5,8 +5,8 @@ Subcommands: ``generate`` (write a random network), ``weights``
 ``simulate`` (Monte Carlo error comparison, CSV), ``validate`` (list
 invariant violations).
 
-Exit codes: 0 success, 1 usage error, 2 validation or parse error,
-3 stranded trust / no convergence / ill-conditioned exact solve.
+Exit codes: 0 success, 1 usage error, 2 validation, parse or out-of-memory
+error, 3 stranded trust / no convergence / ill-conditioned exact solve.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .decisions import decision_report
 from .experiment import ExperimentConfig, run_experiment
 from .network import ActiveSet, generate_network
 
-_POLICIES = {
-    "reject": StrandedPolicy.REJECT,
-    "uniform": StrandedPolicy.UNIFORM_TO_ACTIVE,
-}
+_POLICIES = [policy.value for policy in StrandedPolicy]
+
+#: every CLI default is read from these
+_EXPERIMENT = ExperimentConfig()
+_PROPAGATION = PropagationConfig()
 
 _CONFIG_KEYS = (
     "n", "k", "trials", "sizes", "seed", "tolerance", "max-iterations",
@@ -57,9 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("generate", help="write a random k-out trust network")
-    gen.add_argument("--n", type=int, default=100, help="population size (default 100)")
-    gen.add_argument("--k", type=int, default=3, help="out-degree per node (default 3)")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    gen.add_argument("--n", type=int, default=_EXPERIMENT.n,
+                     help="population size (default %(default)s)")
+    gen.add_argument("--k", type=int, default=_EXPERIMENT.k,
+                     help="out-degree per node (default %(default)s)")
+    gen.add_argument("--seed", type=int, default=_EXPERIMENT.master_seed,
+                     help="generator seed (default %(default)s)")
     gen.add_argument("--nodes", required=True, help="output path for the nodes file")
     gen.add_argument("--edges", required=True, help="output path for the edges file")
     gen.set_defaults(func=_cmd_generate)
@@ -79,9 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--active", help="comma-separated active node ids")
         cmd.add_argument("--active-file", help="file with one active node id per line")
         cmd.add_argument("--exact", action="store_true", help="use the linear-solve path")
-        cmd.add_argument("--tolerance", type=float, default=1e-9)
-        cmd.add_argument("--max-iterations", type=int, default=100_000)
-        cmd.add_argument("--stranded-policy", choices=sorted(_POLICIES), default="reject")
+        cmd.add_argument("--tolerance", type=float, default=_PROPAGATION.tolerance)
+        cmd.add_argument("--max-iterations", type=int, default=_PROPAGATION.max_iterations)
+        cmd.add_argument("--stranded-policy", choices=_POLICIES,
+                         default=_PROPAGATION.stranded_policy.value)
         cmd.add_argument("--output", help="write to this path instead of stdout")
         cmd.set_defaults(func=fn)
 
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--tolerance", type=float, default=None)
     sim.add_argument("--max-iterations", type=int, default=None)
-    sim.add_argument("--stranded-policy", choices=sorted(_POLICIES), default=None)
+    sim.add_argument("--stranded-policy", choices=_POLICIES, default=None)
     sim.add_argument("--fixed-network", action="store_true", default=None,
                      help="generate one network and reuse it for every trial")
     sim.add_argument("--nodes", help="use this fixed network instead of generating")
@@ -123,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     except DelegationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -160,7 +168,7 @@ def _active_set(args) -> ActiveSet:
 
 
 def _weight_vector(args, network, active):
-    policy = _POLICIES[args.stranded_policy]
+    policy = StrandedPolicy(args.stranded_policy)
     if args.exact:
         return compute_weights_exact(network, active, policy)
     config = PropagationConfig(
@@ -232,31 +240,35 @@ def _cmd_simulate(args) -> int:
         return default
 
     network = _load(args.nodes, args.edges) if injected else None
-    n = network.n if injected else pick(args.n, "n", int, 100)
-    k = min(3, n - 1) if injected else pick(args.k, "k", int, 3)
+    n = network.n if injected else pick(args.n, "n", int, _EXPERIMENT.n)
+    k = min(_EXPERIMENT.k, n - 1) if injected else pick(args.k, "k", int, _EXPERIMENT.k)
     sizes = pick(args.sizes, "sizes", str, None)
     if sizes is None:
         # default grid capped to the population: sizes below n, then n itself
-        sizes = [s for s in (2, 5, 10, 20, 50, 100) if s < n] + [n]
+        sizes = [s for s in _EXPERIMENT.active_sizes if s < n] + [n]
     else:
         sizes = fileio.parse_id_list(sizes)
-    policy_name = pick(args.stranded_policy, "stranded-policy", str, "uniform")
+    policy_name = pick(args.stranded_policy, "stranded-policy", str,
+                       _EXPERIMENT.propagation.stranded_policy.value)
     if policy_name not in _POLICIES:
         raise ValueError(f"unknown stranded policy {policy_name!r}")
-    solver = values.get("solver", "exact")
-    fixed = injected or bool(pick(args.fixed_network, "fixed-network", _parse_bool, False))
+    solver = values.get("solver", _EXPERIMENT.solver)
+    fixed = injected or bool(pick(args.fixed_network, "fixed-network", _parse_bool,
+                                  not _EXPERIMENT.fresh_network_per_trial))
     workers = pick(args.workers, "workers", int, 1)
 
     config = ExperimentConfig(
         n=n,
         k=k,
-        trials=pick(args.trials, "trials", int, 10_000),
+        trials=pick(args.trials, "trials", int, _EXPERIMENT.trials),
         active_sizes=tuple(sizes),
-        master_seed=pick(args.seed, "seed", int, 0),
+        master_seed=pick(args.seed, "seed", int, _EXPERIMENT.master_seed),
         propagation=PropagationConfig(
-            tolerance=pick(args.tolerance, "tolerance", float, 1e-9),
-            max_iterations=pick(args.max_iterations, "max-iterations", int, 100_000),
-            stranded_policy=_POLICIES[policy_name],
+            tolerance=pick(args.tolerance, "tolerance", float,
+                           _EXPERIMENT.propagation.tolerance),
+            max_iterations=pick(args.max_iterations, "max-iterations", int,
+                                _EXPERIMENT.propagation.max_iterations),
+            stranded_policy=StrandedPolicy(policy_name),
         ),
         fresh_network_per_trial=not fixed,
         solver=solver,

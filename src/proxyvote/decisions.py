@@ -60,7 +60,7 @@ def weighted_group_decision(
         raise ValueError("weight vector does not cover exactly the active set")
     ids = active.sorted_ids()
     w = np.array([weights.weights[int(i)] for i in ids], dtype=np.float64)
-    if abs(float(np.sum(w)) - network.n) > CONSERVATION_TOL:
+    if not abs(float(np.sum(w)) - network.n) <= CONSERVATION_TOL:  # NaN fails too
         raise ValueError(
             f"corrupted weight vector: weights sum to {float(np.sum(w))!r}, "
             f"expected {network.n} within {CONSERVATION_TOL}"

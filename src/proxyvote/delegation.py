@@ -121,7 +121,6 @@ def reachability_partition(network: TrustNetwork, active: ActiveSet) -> Reachabi
     count: O(D * E) at worst (a long chain), never more than the >= D
     sweeps of the iterative solver or the O(T^3) exact solve.
     """
-    _require_normalized(network)
     active.validate_for(network.n)
     positive = network.normalized_trust > 0.0
     src = network.edge_source[positive]
@@ -158,7 +157,7 @@ def compute_weights_iterative(
     Parameters
     ----------
     network : TrustNetwork
-        Must be normalized.
+        Trust flows along its normalized out-edges.
     active : ActiveSet
         Non-empty set of representative ids.
     config : PropagationConfig
@@ -236,7 +235,8 @@ def compute_weights_exact(
         # stranded region, so the leak is the mass the solve left over
         absorbed = float(absorption.sum())
         leaked = len(to_transient) - absorbed
-        if leaked < -CONSERVATION_TOL or (stranded_count == 0 and leaked > CONSERVATION_TOL):
+        # written so that a NaN leak (a subnormal pivot) fails too
+        if not leaked >= -CONSERVATION_TOL or (stranded_count == 0 and leaked > CONSERVATION_TOL):
             raise SingularSystemError(
                 f"absorption system too ill-conditioned: {absorbed!r} of "
                 f"{len(to_transient)} transient units absorbed"
@@ -244,11 +244,6 @@ def compute_weights_exact(
         leaked = max(0.0, leaked)
 
     return _weight_vector(active_ids, weights, stranded_count, leaked, None)
-
-
-def _require_normalized(network: TrustNetwork) -> None:
-    if not network.is_normalized:
-        raise ValueError("network must be normalized (see normalize_outgoing)")
 
 
 def _weight_vector(

@@ -14,7 +14,7 @@ from typing import Iterable
 from .delegation import WeightVector
 from .decisions import DecisionReport
 from .experiment import ExperimentConfig, ExperimentResult
-from .network import TrustNetwork, normalize_outgoing, validate_network
+from .network import TrustNetwork, validate_network
 
 NODES_HEADER = "id,opinion"
 EDGES_HEADER = "source,target,trust"
@@ -55,9 +55,9 @@ def save_network(network: TrustNetwork, nodes_path: str | os.PathLike, edges_pat
 def load_network(
     nodes_path: str | os.PathLike, edges_path: str | os.PathLike
 ) -> tuple[TrustNetwork, list[int]]:
-    """Load, validate, and normalize a network from its two files.
+    """Load and validate a network from its two files.
 
-    Returns (normalized network, dangling node ids).  Any parse problem
+    Returns (network, dangling node ids).  Any parse problem
     or invariant violation raises :class:`NetworkFormatError` listing
     every failure with its file and line.
     """
@@ -71,8 +71,7 @@ def load_network(
     problems += validate_network(network)
     if problems:
         raise NetworkFormatError("\n".join(problems))
-    normalized, dangling = normalize_outgoing(network)
-    return normalized, dangling
+    return network, network.dangling_nodes()
 
 
 def _parse_nodes(path: str | os.PathLike, problems: list[str]) -> list[float]:

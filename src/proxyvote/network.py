@@ -2,22 +2,20 @@
 
 A trust network is a directed weighted graph over ``n`` individuals,
 identified by dense integer ids ``0 .. n-1``.  Each node holds an opinion
-in [0, 1]; each directed edge (p, q) carries the raw trust p places in q
-and, once the network has been normalized, the fraction of p's total
-outgoing trust that q receives.  Normalized out-edge fractions of a
-non-dangling node sum to one, so they can be read as the percentages of
-that node's unit of trust.
+in [0, 1]; each directed edge (p, q) carries the raw trust p places in q,
+and its normalized trust is the fraction of p's total outgoing raw trust
+that q receives.  Normalized out-edge fractions of a non-dangling node
+sum to one, so they can be read as the percentages of that node's unit
+of trust.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-
-#: per-node normalized out-trust must sum to 1 within this bound
-NORMALIZATION_TOL = 1e-12
 
 
 def trust_value(opinion_p: float, opinion_q: float) -> float:
@@ -82,16 +80,12 @@ class TrustNetwork:
     Edges are kept in canonical (source, target) order.  Instances are
     immutable: arrays are defensively copied and marked read-only, so a
     network can be shared freely across concurrent readers.
-
-    ``normalized_trust`` is None for a raw network; :func:`normalize_outgoing`
-    returns a copy with the per-node out-distributions filled in.
     """
 
     opinions: np.ndarray
     edge_source: np.ndarray
     edge_target: np.ndarray
     raw_trust: np.ndarray
-    normalized_trust: np.ndarray | None = None
 
     def __post_init__(self):
         opinions = np.array(self.opinions, dtype=np.float64).reshape(-1)
@@ -100,23 +94,14 @@ class TrustNetwork:
         raw = np.array(self.raw_trust, dtype=np.float64).reshape(-1)
         if not len(src) == len(tgt) == len(raw):
             raise ValueError("edge arrays must have identical lengths")
-        norm = self.normalized_trust
-        if norm is not None:
-            norm = np.array(norm, dtype=np.float64).reshape(-1)
-            if len(norm) != len(src):
-                raise ValueError("normalized_trust length must match edge count")
         order = np.lexsort((tgt, src))
         src, tgt, raw = src[order], tgt[order], raw[order]
-        if norm is not None:
-            norm = norm[order]
-            norm.setflags(write=False)
         for arr in (opinions, src, tgt, raw):
             arr.setflags(write=False)
         object.__setattr__(self, "opinions", opinions)
         object.__setattr__(self, "edge_source", src)
         object.__setattr__(self, "edge_target", tgt)
         object.__setattr__(self, "raw_trust", raw)
-        object.__setattr__(self, "normalized_trust", norm)
 
     @property
     def n(self) -> int:
@@ -126,63 +111,49 @@ class TrustNetwork:
     def edge_count(self) -> int:
         return len(self.edge_source)
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.normalized_trust is not None
+    @cached_property
+    def normalized_trust(self) -> np.ndarray:
+        """Each edge's share of its source's total raw out-trust, 0.0 where
+        that total is <= 0; read-only, computed on first use."""
+        totals = self._out_totals()[self.edge_source]
+        norm = np.divide(
+            self.raw_trust, totals, out=np.zeros(self.edge_count), where=totals > 0.0
+        )
+        norm.setflags(write=False)
+        return norm
+
+    def dangling_nodes(self) -> list[int]:
+        """Sorted ids of the nodes whose total raw out-trust is <= 0,
+        including every node without out-edges."""
+        return np.flatnonzero(self._out_totals() <= 0.0).tolist()
+
+    def _out_totals(self) -> np.ndarray:
+        _check_structure(self)
+        return np.bincount(self.edge_source, weights=self.raw_trust, minlength=self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrustNetwork):
             return NotImplemented
-        if self.n != other.n or self.edge_count != other.edge_count:
-            return False
-        same = (
+        return (
             np.array_equal(self.opinions, other.opinions)
             and np.array_equal(self.edge_source, other.edge_source)
             and np.array_equal(self.edge_target, other.edge_target)
             and np.array_equal(self.raw_trust, other.raw_trust)
         )
-        if not same:
-            return False
-        if (self.normalized_trust is None) != (other.normalized_trust is None):
-            return False
-        if self.normalized_trust is None:
-            return True
-        return np.array_equal(self.normalized_trust, other.normalized_trust)
 
 
 def _check_structure(network: TrustNetwork) -> None:
-    # operations below index opinions by edge endpoints; bad endpoints are a
-    # structural fault, not a value-level violation
+    # the per-node totals and the solvers index by edge endpoints; bad ones
+    # are a structural fault, not a value-level violation.  Sources are
+    # sorted, so their extremes are the first and last entries.
     if network.edge_count:
         src, tgt = network.edge_source, network.edge_target
-        if src.min() < 0 or src.max() >= network.n or tgt.min() < 0 or tgt.max() >= network.n:
+        if src[0] < 0 or src[-1] >= network.n or tgt.min() < 0 or tgt.max() >= network.n:
             raise ValueError("network has edges with out-of-range endpoints")
 
 
-def normalize_outgoing(network: TrustNetwork) -> tuple[TrustNetwork, list[int]]:
-    """Normalize every node's outgoing raw trust into a unit distribution.
-
-    Returns the normalized network together with the sorted list of
-    dangling node ids.  A node is dangling when it has no out-edges or
-    when all its raw out-trusts are zero; such a node gets no normalized
-    out-distribution (its edge rows, if any, carry normalized trust 0.0).
-
-    Raw values are preserved, so normalizing twice equals normalizing once.
-    """
-    _check_structure(network)
-    n = network.n
-    totals = np.bincount(network.edge_source, weights=network.raw_trust, minlength=n)
-    degrees = np.bincount(network.edge_source, minlength=n)
-    dangling_mask = (degrees == 0) | (totals <= 0.0)
-    norm = np.zeros(network.edge_count, dtype=np.float64)
-    live = ~dangling_mask[network.edge_source]
-    norm[live] = network.raw_trust[live] / totals[network.edge_source[live]]
-    normalized = replace(network, normalized_trust=norm)
-    return normalized, [int(i) for i in np.flatnonzero(dangling_mask)]
-
-
 def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
-    """Generate a random k-out trust network of n nodes, already normalized.
+    """Generate a random k-out trust network of n nodes.
 
     Parameters
     ----------
@@ -204,19 +175,15 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
     opinions = rng.random(n)
     # k smallest of n-1 iid uniforms per row = uniform k-subset of the others
     scores = rng.random((n, n - 1))
-    # sorted picks give canonical edge order, so row totals add up as in normalize_outgoing
-    picks = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
+    cols = np.argpartition(scores, k - 1, axis=1)[:, :k].reshape(-1)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = picks.reshape(-1)
     tgt = np.where(cols < src, cols, cols + 1)
-    raw = trust_value(opinions[src], opinions[tgt])
     # opinions lie in [0, 1), so every raw trust is positive and no node dangles
-    totals = np.bincount(src, weights=raw, minlength=n)
-    return TrustNetwork(opinions, src, tgt, raw, raw / totals[src])
+    return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
 
 
 def validate_network(network: TrustNetwork) -> list[str]:
-    """Check every network invariant; return one message per violation.
+    """Check the caller-supplied values; return one message per violation.
 
     Never raises: an empty list means the network is valid.  Messages
     identify the offending node or edge by id.
@@ -251,28 +218,4 @@ def validate_network(network: TrustNetwork) -> list[str]:
     duplicate = (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
     for i in np.flatnonzero(duplicate) + 1:
         problems.append(f"duplicate edge ({src[i]}, {tgt[i]})")
-
-    norm = network.normalized_trust
-    if norm is not None and not np.any(bad_source | bad_target):
-        bad_norm = ~(np.isfinite(norm) & (norm >= 0.0) & (norm <= 1.0))
-        for i in np.flatnonzero(bad_norm):
-            problems.append(
-                f"edge ({src[i]}, {tgt[i]}): normalized trust {float(norm[i])!r} outside [0.0, 1.0]"
-            )
-        if not np.any(bad_norm) and n > 0:
-            totals = np.bincount(src, weights=raw, minlength=n)
-            degrees = np.bincount(src, minlength=n)
-            norm_sums = np.bincount(src, weights=norm, minlength=n)
-            trusting = totals > 0.0
-            bad_sum = trusting & (np.abs(norm_sums - 1.0) > NORMALIZATION_TOL)
-            bad_dangling = ~trusting & (norm_sums != 0.0)
-            for i in np.flatnonzero((degrees > 0) & (bad_sum | bad_dangling)):
-                if bad_sum[i]:
-                    problems.append(
-                        f"node {i}: normalized out-trust sums to {float(norm_sums[i])!r}, not 1.0"
-                    )
-                else:
-                    problems.append(
-                        f"node {i}: dangling node carries nonzero normalized trust"
-                    )
     return problems

@@ -128,6 +128,21 @@ def test_exit_code_validation_errors(four_node_paths, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
+    from proxyvote import cli
+
+    def too_big(n, k, rng):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate_network", too_big)
+    code = run_cli("generate", "--n", "1000000", "--k", "3",
+                   "--nodes", str(tmp_path / "n.csv"), "--edges", str(tmp_path / "e.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert not (tmp_path / "n.csv").exists()
+
+
 def test_exit_code_stranded_and_no_convergence(fixtures_dir, tmp_path, capsys):
     nodes = str(fixtures_dir / "stranded_pair" / "nodes.csv")
     edges = str(fixtures_dir / "stranded_pair" / "edges.csv")

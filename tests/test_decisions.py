@@ -12,7 +12,6 @@ from proxyvote import (
     expected_decision,
     generate_network,
     group_decision,
-    normalize_outgoing,
     weighted_group_decision,
 )
 from conftest import random_instance
@@ -67,9 +66,10 @@ def test_weighted_rejects_mismatched_membership(four_node, four_node_active):
 
 
 def test_weighted_rejects_broken_conservation(four_node, four_node_active):
-    corrupted = WeightVector(weights={2: 1.5, 3: 1.5})
-    with pytest.raises(ValueError):
-        weighted_group_decision(four_node, four_node_active, corrupted)
+    for corrupted in (WeightVector(weights={2: 1.5, 3: 1.5}),
+                      WeightVector(weights={2: 1.5, 3: float("nan")})):
+        with pytest.raises(ValueError):
+            weighted_group_decision(four_node, four_node_active, corrupted)
 
 
 def test_decision_error_examples():
@@ -107,9 +107,7 @@ def test_translation_equivariance():
             shifted_ops[base.edge_source] - shifted_ops[base.edge_target]
         )
         np.testing.assert_allclose(recomputed_raw, base.raw_trust, atol=1e-12)
-        shifted, _ = normalize_outgoing(
-            TrustNetwork(shifted_ops, base.edge_source, base.edge_target, recomputed_raw)
-        )
+        shifted = TrustNetwork(shifted_ops, base.edge_source, base.edge_target, recomputed_raw)
         w_base = compute_weights_exact(base, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
         w_shift = compute_weights_exact(shifted, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
         for node in active:

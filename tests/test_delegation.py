@@ -16,7 +16,6 @@ from proxyvote import (
     compute_weights_exact,
     compute_weights_iterative,
     generate_network,
-    normalize_outgoing,
     reachability_partition,
 )
 from conftest import random_instance
@@ -28,8 +27,7 @@ def _net(opinions, edges):
     src = [s for s, _, _ in edges]
     tgt = [t for _, t, _ in edges]
     raw = [r for _, _, r in edges]
-    net, _ = normalize_outgoing(TrustNetwork(opinions, src, tgt, raw))
-    return net
+    return TrustNetwork(opinions, src, tgt, raw)
 
 
 def test_four_node_weights_both_solvers(four_node, four_node_active):
@@ -109,6 +107,20 @@ def _small_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_graphs())
+def test_normalized_rows_are_unit_distributions(graph):
+    net, _ = graph
+    share = net.normalized_trust
+    assert np.all((share >= 0.0) & (share <= 1.0))
+    dangling = np.zeros(net.n, dtype=bool)
+    dangling[net.dangling_nodes()] = True
+    # a node without out-edges has total 0, so every non-dangling node has some
+    sums = np.bincount(net.edge_source, weights=share, minlength=net.n)
+    assert np.all(np.abs(sums[~dangling] - 1.0) <= 1e-12)
+    assert np.all(share[dangling[net.edge_source]] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
 def test_reachability_matches_brute_force_closure(graph):
     net, active = graph
     n = net.n
@@ -162,6 +174,14 @@ def test_exact_near_closed_cycle_conserves_or_raises(eps, conserved):
     else:
         with pytest.raises(SingularSystemError):
             compute_weights_exact(net, ActiveSet([2]))
+
+
+def test_exact_subnormal_cycle_raises_instead_of_nan():
+    # 0 <-> 1 leak a subnormal share to the representative 2, and 3 feeds
+    # 0 a subnormal share; the solve's subnormal pivot yields NaN weights
+    net = _net([0.5] * 4, [(0, 1, 1.0), (0, 2, 1e-310), (1, 0, 1.0), (3, 0, 1e-309), (3, 2, 1.0)])
+    with pytest.raises(SingularSystemError, match="nan of 3 transient units"):
+        compute_weights_exact(net, ActiveSet([2]))
 
 
 def test_reachability_long_chain():
@@ -287,7 +307,6 @@ def test_permutation_equivariance():
             perm[net.edge_target],
             net.raw_trust,
         )
-        relabeled, _ = normalize_outgoing(relabeled)
         mapped_active = ActiveSet(int(perm[a]) for a in active)
         base = compute_weights_exact(net, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
         moved = compute_weights_exact(relabeled, mapped_active, StrandedPolicy.UNIFORM_TO_ACTIVE)
@@ -295,6 +314,35 @@ def test_permutation_equivariance():
             assert moved.weights[int(perm[node])] == pytest.approx(
                 base.weights[node], abs=1e-9
             )
+
+
+def _exact_or_error(net, active):
+    try:
+        return compute_weights_exact(net, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
+    except SingularSystemError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_permutation_equivariance_property(data):
+    net, active = data.draw(_small_graphs())
+    perm = np.array(data.draw(st.permutations(range(net.n))), dtype=np.int64)
+    relabeled = TrustNetwork(
+        net.opinions[np.argsort(perm)], perm[net.edge_source], perm[net.edge_target], net.raw_trust
+    )
+    mapped_active = ActiveSet(int(perm[a]) for a in active)
+    assert relabeled.dangling_nodes() == sorted(perm[net.dangling_nodes()].tolist())
+    base = reachability_partition(net, active)
+    moved = reachability_partition(relabeled, mapped_active)
+    assert moved.transient.tolist() == sorted(perm[base.transient].tolist())
+    assert moved.stranded.tolist() == sorted(perm[base.stranded].tolist())
+    base, moved = _exact_or_error(net, active), _exact_or_error(relabeled, mapped_active)
+    if isinstance(base, type) or isinstance(moved, type):
+        assert base is moved
+    else:
+        for node, w in base.weights.items():
+            assert abs(moved.weights[int(perm[node])] - w) <= 1e-9
 
 
 def test_raw_scale_invariance_of_weights():
@@ -305,9 +353,7 @@ def test_raw_scale_invariance_of_weights():
     raw = net.raw_trust.copy()
     node = int(rng.integers(0, 20))
     raw[net.edge_source == node] *= 37.5
-    scaled, _ = normalize_outgoing(
-        TrustNetwork(net.opinions, net.edge_source, net.edge_target, raw)
-    )
+    scaled = TrustNetwork(net.opinions, net.edge_source, net.edge_target, raw)
     rescored = compute_weights_exact(scaled, active)
     for node_id, w in base.weights.items():
         assert rescored.weights[node_id] == pytest.approx(w, abs=1e-9)
@@ -365,10 +411,12 @@ def test_propagation_config_validation():
         PropagationConfig(max_iterations=0)
 
 
-def test_unnormalized_network_rejected(four_node_active):
-    raw = TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 3], [1.0, 0.25, 0.75])
-    with pytest.raises(ValueError):
-        compute_weights_iterative(raw, four_node_active)
+def test_out_of_range_endpoints_rejected(four_node_active):
+    broken = TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 4], [1.0, 0.25, 0.75])
+    with pytest.raises(ValueError, match="out-of-range endpoints"):
+        compute_weights_iterative(broken, four_node_active)
+    with pytest.raises(ValueError, match="out-of-range endpoints"):
+        compute_weights_exact(broken, four_node_active)
 
 
 def test_active_out_of_range_rejected(four_node):

@@ -12,7 +12,6 @@ from proxyvote import (
     StrandedTrustError,
     TrustNetwork,
     analytic_traditional_error,
-    normalize_outgoing,
     run_experiment,
     run_trial,
 )
@@ -107,7 +106,7 @@ def test_run_trial_rejects_bad_inputs():
 def test_run_trial_propagates_stranded_under_reject():
     # every 2-node active set strands trust here: 2 and 3 are dangling, and
     # the 0 <-> 1 pair has no edge out
-    net, _ = normalize_outgoing(TrustNetwork([0.6, 0.4, 0.2, 1.0], [0, 1], [1, 0], [1.0, 1.0]))
+    net = TrustNetwork([0.6, 0.4, 0.2, 1.0], [0, 1], [1, 0], [1.0, 1.0])
     config = ExperimentConfig(
         n=4,
         k=1,

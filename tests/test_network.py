@@ -5,7 +5,6 @@ from proxyvote import (
     ActiveSet,
     TrustNetwork,
     generate_network,
-    normalize_outgoing,
     trust_value,
     validate_network,
 )
@@ -28,33 +27,20 @@ def test_trust_value_symmetric_and_bounded():
 
 def test_normalize_divides_by_row_total():
     net = TrustNetwork([0.5, 0.5, 0.5], [0, 0], [1, 2], [0.7, 0.9])
-    net, dangling = normalize_outgoing(net)
     np.testing.assert_allclose(net.normalized_trust, [0.4375, 0.5625], atol=1e-15)
-    assert dangling == [1, 2]
+    assert net.dangling_nodes() == [1, 2]
 
 
 def test_normalize_single_edge_takes_everything():
     net = TrustNetwork([0.5, 0.5], [0], [1], [0.3])
-    net, dangling = normalize_outgoing(net)
     assert net.normalized_trust[0] == 1.0
-    assert dangling == [1]
+    assert net.dangling_nodes() == [1]
 
 
 def test_normalize_all_zero_raw_is_dangling():
     net = TrustNetwork([0.5, 0.5, 0.5], [0, 0], [1, 2], [0.0, 0.0])
-    net, dangling = normalize_outgoing(net)
-    assert 0 in dangling
+    assert net.dangling_nodes() == [0, 1, 2]
     assert np.all(net.normalized_trust == 0.0)
-    assert normalize_outgoing(net)[1] == dangling
-
-
-def test_normalize_idempotent():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        net = generate_network(int(rng.integers(2, 40)), 1, rng)
-        again, _ = normalize_outgoing(net)
-        np.testing.assert_array_equal(net.raw_trust, again.raw_trust)
-        np.testing.assert_allclose(net.normalized_trust, again.normalized_trust, atol=1e-12)
 
 
 def test_normalize_scale_invariant():
@@ -66,7 +52,6 @@ def test_normalize_scale_invariant():
         raw = net.raw_trust.copy()
         raw[net.edge_source == node] *= c
         scaled = TrustNetwork(net.opinions, net.edge_source, net.edge_target, raw)
-        scaled, _ = normalize_outgoing(scaled)
         np.testing.assert_allclose(
             scaled.normalized_trust, net.normalized_trust, atol=1e-12
         )
@@ -139,13 +124,6 @@ def test_validate_reports_duplicates_and_bad_endpoints():
     assert "raw trust" in problems
 
 
-def test_validate_reports_broken_normalization():
-    # hand-build an inconsistent normalized column
-    bad = TrustNetwork([0.5, 0.5], [0], [1], [0.5], normalized_trust=[0.7])
-    problems = validate_network(bad)
-    assert any("sums to" in p for p in problems)
-
-
 def test_validate_accepts_empty_network_edge_case():
     assert validate_network(TrustNetwork([], [], [], [])) == ["network has no nodes"]
 
@@ -181,13 +159,11 @@ def test_active_set_invariants():
 
 def test_validate_pins_every_message_in_order():
     nan = float("nan")
-    # endpoint faults skip the normalized-trust checks
     broken = TrustNetwork(
         [0.5, nan, 1.5, 0.2],
         [0, 0, 1, 1, 2, 2, -1, 3, 4],
         [1, 1, 1, 2, 3, 5, 0, 0, -2],
         [0.5, 0.5, 0.4, 1.25, nan, 0.5, 0.5, -0.5, 0.5],
-        [0.5] * 9,
     )
     assert validate_network(broken) == [
         "node 1: opinion nan outside [0.0, 1.0]",
@@ -201,17 +177,4 @@ def test_validate_pins_every_message_in_order():
         "edge (4, -2): source node 4 out of range",
         "edge (4, -2): target node -2 out of range",
         "duplicate edge (0, 1)",
-    ]
-    # out-of-range normalized values skip the per-node sum checks
-    bad_norm = TrustNetwork([0.1, 0.2, 0.3], [0, 0, 1], [1, 2, 0], [0.5, 0.5, 1.0],
-                            [0.5, 1.5, nan])
-    assert validate_network(bad_norm) == [
-        "edge (0, 2): normalized trust 1.5 outside [0.0, 1.0]",
-        "edge (1, 0): normalized trust nan outside [0.0, 1.0]",
-    ]
-    bad_sums = TrustNetwork([0.1, 0.2, 0.3], [0, 0, 1, 2], [1, 2, 0, 0],
-                            [0.5, 0.5, 0.0, 1.0], [0.5, 0.4, 0.25, 1.0])
-    assert validate_network(bad_sums) == [
-        "node 0: normalized out-trust sums to 0.9, not 1.0",
-        "node 1: dangling node carries nonzero normalized trust",
     ]
