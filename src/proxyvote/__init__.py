@@ -30,9 +30,6 @@ from .decisions import (
     DecisionReport,
     decision_error,
     decision_report,
-    expected_decision,
-    group_decision,
-    weighted_group_decision,
 )
 from .experiment import (
     ActiveSizeStats,
@@ -64,13 +61,10 @@ __all__ = [
     "compute_weights_iterative",
     "decision_error",
     "decision_report",
-    "expected_decision",
     "generate_network",
-    "group_decision",
     "reachability_partition",
     "run_experiment",
     "run_trial",
     "trust_value",
     "validate_network",
-    "weighted_group_decision",
 ]

@@ -126,14 +126,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DelegationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(exc)
         return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(exc)
         return 2
+
+
+def _report_error(exc: Exception) -> None:
+    if hasattr(exc, "trial"):  # raised by a simulate trial
+        print("error: failed at active size {}, trial {}, master seed {}".format(*exc.trial),
+              file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -30,58 +30,25 @@ class DecisionReport:
     error_weighted: float
 
 
-def group_decision(network: TrustNetwork, active: ActiveSet) -> float:
-    """Unweighted average of the active members' opinions."""
-    active.validate_for(network.n)
-    ids = active.sorted_ids()
-    return float(np.sum(network.opinions[ids]) / len(ids))
+def decision_error(outcome, expected):
+    """Absolute difference between an outcome and the expected decision
+    (elementwise on arrays)."""
+    return abs(outcome - expected)
 
 
-def expected_decision(network: TrustNetwork) -> float:
-    """Average opinion of the whole population."""
-    if network.n < 1:
-        raise ValueError("network must have at least one node")
-    return float(np.sum(network.opinions) / network.n)
-
-
-def weighted_group_decision(
-    network: TrustNetwork,
-    active: ActiveSet,
-    weights: WeightVector,
-) -> float:
-    """Delegation-weighted average: (1/n) * sum of weight(p) * opinion(p).
+def decision_report(network: TrustNetwork, active: ActiveSet, weights: WeightVector) -> DecisionReport:
+    """Evaluate both decision methods against the expected decision.
 
     The weight vector must cover exactly the active set and its weights
     must sum to the population size within ``CONSERVATION_TOL``;
     otherwise the vector is rejected as corrupted.
     """
     active.validate_for(network.n)
-    if set(weights.weights) != active.members:
+    if set(weights.weights) != set(active):
         raise ValueError("weight vector does not cover exactly the active set")
-    ids = active.sorted_ids()
-    w = np.array([weights.weights[int(i)] for i in ids], dtype=np.float64)
-    if not abs(float(np.sum(w)) - network.n) <= CONSERVATION_TOL:  # NaN fails too
-        raise ValueError(
-            f"corrupted weight vector: weights sum to {float(np.sum(w))!r}, "
-            f"expected {network.n} within {CONSERVATION_TOL}"
-        )
-    return float(np.sum(w * network.opinions[ids]) / network.n)
-
-
-def decision_error(outcome: float, expected: float) -> float:
-    """Absolute difference between an outcome and the expected decision."""
-    return abs(outcome - expected)
-
-
-def decision_report(
-    network: TrustNetwork,
-    active: ActiveSet,
-    weights: WeightVector,
-) -> DecisionReport:
-    """Evaluate both decision methods against the expected decision."""
-    outcome = group_decision(network, active)
-    expected = expected_decision(network)
-    weighted = weighted_group_decision(network, active, weights)
+    w = np.array([weights.weights[i] for i in active], dtype=np.float64)
+    decided = _decide(network.opinions[None], active.ids[None], w[None])
+    outcome, expected, weighted = (float(v[0]) for v in decided)
     return DecisionReport(
         group_decision=outcome,
         expected_decision=expected,
@@ -89,3 +56,22 @@ def decision_report(
         weighted_group_decision=weighted,
         error_weighted=decision_error(weighted, expected),
     )
+
+
+def _decide(opinions: np.ndarray, ids: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(group, expected, weighted) decisions of B trials from the rows of
+    ``opinions`` (B, n), sorted active ``ids`` (B, A) and ``weights`` (B, A):
+    the active mean, the population mean and sum(weight * opinion) / n.
+    The first trial whose weights miss n by more than ``CONSERVATION_TOL``
+    raises the corrupted-weight ValueError."""
+    b, n = opinions.shape
+    chosen = opinions[np.arange(b)[:, None], ids]
+    totals = weights.sum(axis=1)
+    bad = ~(np.abs(totals - n) <= CONSERVATION_TOL)  # NaN fails too
+    if bad.any():
+        raise ValueError(
+            f"corrupted weight vector: weights sum to {float(totals[bad.argmax()])!r}, "
+            f"expected {n} within {CONSERVATION_TOL}"
+        )
+    group = chosen.sum(axis=1) / ids.shape[1]
+    return group, opinions.sum(axis=1) / n, (weights * chosen).sum(axis=1) / n

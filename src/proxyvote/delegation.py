@@ -47,7 +47,7 @@ class StrandedTrustError(DelegationError):
         )
 
     def __reduce__(self):  # the default would rebuild from the message
-        return type(self), (self.stranded,)
+        return type(self), (self.stranded,), self.__dict__
 
 
 class NoConvergenceError(DelegationError):
@@ -112,31 +112,12 @@ class WeightVector:
 def reachability_partition(network: TrustNetwork, active: ActiveSet) -> ReachabilityPartition:
     """Split non-active nodes into transient (some directed path of
     positive normalized trust reaches an active node) and stranded (none
-    does).  Dangling non-active nodes are always stranded.
-
-    Level-synchronous reverse search over the positive-trust edges: each
-    sweep marks the sources of all edges whose target is reached, until
-    the reached count stops growing.  That is D + 1 sweeps of O(E) work,
-    with D the longest shortest path to the active set and E the edge
-    count: O(D * E) at worst (a long chain), never more than the >= D
-    sweeps of the iterative solver or the O(T^3) exact solve.
-    """
+    does).  Dangling non-active nodes are always stranded."""
     active.validate_for(network.n)
-    positive = network.normalized_trust > 0.0
-    src = network.edge_source[positive]
-    tgt = network.edge_target[positive]
-    active_ids = active.sorted_ids()
-    reached = np.zeros(network.n, dtype=bool)
-    reached[active_ids] = True
-    count = len(active_ids)
-    while True:
-        reached[src[reached[tgt]]] = True
-        grown = int(np.count_nonzero(reached))
-        if grown == count:
-            break
-        count = grown
+    reached = _reach(network.edge_source, network.edge_target, network.normalized_trust,
+                     active.ids, network.n)
     stranded = np.flatnonzero(~reached)
-    reached[active_ids] = False
+    reached[active.ids] = False
     return ReachabilityPartition(np.flatnonzero(reached), stranded)
 
 
@@ -152,53 +133,13 @@ def compute_weights_iterative(
     one mobile unit.  Per sweep, every transient node sends all trust it
     holds along its normalized out-edges simultaneously; trust arriving
     at active nodes is absorbed.  Sweeps stop when the total mobile trust
-    drops below ``config.tolerance``.
-
-    Parameters
-    ----------
-    network : TrustNetwork
-        Trust flows along its normalized out-edges.
-    active : ActiveSet
-        Non-empty set of representative ids.
-    config : PropagationConfig
-        Tolerance, sweep budget, and stranded policy.
-    callback : callable, optional
-        Called with the mobile residual after every sweep (used to
-        observe convergence).
-
-    Raises
-    ------
-    StrandedTrustError
-        Stranded nodes exist and the policy is REJECT.
-    NoConvergenceError
-        Sweep budget exhausted with residual still at or above tolerance.
+    drops below ``config.tolerance``; ``callback``, if given, is called
+    with the mobile residual after every sweep.  Raises
+    :class:`StrandedTrustError` if nodes are stranded under the REJECT
+    policy and :class:`NoConvergenceError` if ``config.max_iterations``
+    sweeps leave the residual at or above the tolerance.
     """
-    active_ids, to_transient, to_active, to_stranded, stranded_count = _flow_matrices(
-        network, active, config.stranded_policy
-    )
-    weights = np.ones(len(active_ids), dtype=np.float64)
-
-    iterations = 0
-    leaked = 0.0
-    mobile = np.ones(len(to_transient), dtype=np.float64)
-    residual = float(mobile.sum())
-    converged = residual < config.tolerance
-    while not converged and iterations < config.max_iterations:
-        weights += to_active.T @ mobile
-        leaked += float(to_stranded @ mobile)
-        mobile = to_transient.T @ mobile
-        residual = float(mobile.sum())
-        iterations += 1
-        if callback is not None:
-            callback(residual)
-        converged = residual < config.tolerance
-    if not converged:
-        raise NoConvergenceError(
-            f"residual mobile trust {residual!r} after {iterations} sweeps "
-            f"(tolerance {config.tolerance!r})"
-        )
-
-    return _weight_vector(active_ids, weights, stranded_count, leaked, iterations)
+    return _weight_vector(network, active, config.stranded_policy, config, callback)
 
 
 def compute_weights_exact(
@@ -218,93 +159,138 @@ def compute_weights_exact(
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
     :class:`SingularSystemError`.
     """
-    active_ids, to_transient, to_active, _, stranded_count = _flow_matrices(
-        network, active, stranded_policy
-    )
-    weights = np.ones(len(active_ids), dtype=np.float64)
-
-    leaked = 0.0
-    if len(to_transient):
-        identity = np.eye(len(to_transient))
-        try:
-            absorption = np.linalg.solve(identity - to_transient, to_active)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
-        weights += absorption.sum(axis=0)
-        # every transient unit is eventually absorbed or leaks into the
-        # stranded region, so the leak is the mass the solve left over
-        absorbed = float(absorption.sum())
-        leaked = len(to_transient) - absorbed
-        # written so that a NaN leak (a subnormal pivot) fails too
-        if not leaked >= -CONSERVATION_TOL or (stranded_count == 0 and leaked > CONSERVATION_TOL):
-            raise SingularSystemError(
-                f"absorption system too ill-conditioned: {absorbed!r} of "
-                f"{len(to_transient)} transient units absorbed"
-            )
-        leaked = max(0.0, leaked)
-
-    return _weight_vector(active_ids, weights, stranded_count, leaked, None)
+    return _weight_vector(network, active, stranded_policy)
 
 
 def _weight_vector(
-    active_ids: np.ndarray, weights: np.ndarray, stranded_count: int, leaked: float,
-    iterations: int | None,
+    network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy,
+    config: PropagationConfig | None = None, callback: Callable[[float], None] | None = None,
 ) -> WeightVector:
-    """Split stranded mass (initial stranded units plus mass that leaked
-    out of the transient region) evenly over the active weights and key
-    them by active id.  Stranded mass is exactly 0.0 when nothing was
-    structurally stranded."""
-    stranded_mass = 0.0
-    # with no stranded region nothing can leak, so any leak is fp residue
-    if stranded_count:
-        stranded_mass = float(stranded_count) + leaked
-        weights += stranded_mass / len(weights)
-    return WeightVector(
-        weights={int(a): float(w) for a, w in zip(active_ids, weights)},
-        stranded_mass=stranded_mass,
-        iterations_used=iterations,
+    """:func:`_absorb` on a batch of one; ``config`` None selects the exact solve."""
+    stranded = np.zeros((1, network.n), dtype=bool)
+    stranded[0, reachability_partition(network, active).stranded] = True
+    weights, mass, sweeps = _absorb(
+        network.n, network.edge_source, network.edge_target, network.normalized_trust,
+        active.ids[None], stranded, policy, config, callback,
     )
+    return WeightVector(dict(zip(active.ids.tolist(), weights[0].tolist())), float(mass[0]),
+                        None if config is None else int(sweeps[0]))
 
 
-def _flow_matrices(
-    network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Partition the nodes, apply the stranded policy's reject branch and
-    build the dense flow blocks of the transient rows.
+def _reach(src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarray,
+           nodes: int) -> np.ndarray:
+    """Mask of the nodes with a path of positive-trust edges to an ``active``
+    id, these included.  Level-synchronous reverse search: each sweep marks
+    the sources of all edges whose target is reached, until the count stops
+    growing; O(D * E) for E edges and D the longest shortest path to the
+    active set, never more than the >= D sweeps of the iterative solver."""
+    positive = norm > 0.0
+    src, tgt = src[positive], tgt[positive]
+    reached = np.zeros(nodes, dtype=bool)
+    reached[active] = True
+    count = len(active)
+    while True:
+        reached[src[reached[tgt]]] = True
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return reached
+        count = grown
 
-    Returns (active_ids, to_transient, to_active, to_stranded,
-    stranded_count): row i of the blocks describes where the i-th
-    transient node's trust goes in one step, split into transient
-    columns, active columns, and the total lost to the stranded region.
+
+def _absorb(
+    n: int, src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarray,
+    stranded: np.ndarray, policy: StrandedPolicy, config: PropagationConfig | None = None,
+    callback: Callable[[float], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delegation weights of B trials of n nodes each (node v of trial b
+    is b*n + v in the edge arrays); ``active`` (B, A) holds each trial's
+    sorted active ids and ``stranded`` (B, n) marks the nodes that reach
+    none.  Trials are grouped by transient count T: each group's Q and R
+    blocks take one stacked exact solve or, given a sweep ``config``, the
+    sweeps trial by trial.  Returns (weights (B, A), stranded mass (B,),
+    sweeps used (B,)), the stranded mass split evenly over the weights.
     """
-    partition = reachability_partition(network, active)
-    if partition.stranded.size and policy is StrandedPolicy.REJECT:
-        raise StrandedTrustError(partition.stranded.tolist())
-    transient_ids, active_ids = partition.transient, active.sorted_ids()
-    n = network.n
-    t_count, a_count = len(transient_ids), len(active_ids)
-    TRANSIENT, ACTIVE, STRANDED = 0, 1, 2
-    kind = np.full(n, STRANDED, dtype=np.int8)
-    kind[transient_ids] = TRANSIENT
-    kind[active_ids] = ACTIVE
-    position = np.zeros(n, dtype=np.int64)
-    position[transient_ids] = np.arange(t_count)
-    position[active_ids] = np.arange(a_count)
+    b, a = active.shape
+    if policy is StrandedPolicy.REJECT and stranded.any():
+        raise StrandedTrustError(np.flatnonzero(stranded[stranded.any(axis=1).argmax()]).tolist())
+    rows = np.arange(b)[:, None]
+    is_active = np.zeros((b, n), dtype=bool)
+    is_active[rows, active] = True
+    transient = ~(stranded | is_active)
+    t_count = np.count_nonzero(transient, axis=1)
+    position = np.cumsum(transient, axis=1) - 1
+    position[rows, active] = np.arange(a)
+    transient, is_active, position = transient.ravel(), is_active.ravel(), position.ravel()
+    live = (norm > 0.0) & transient[src]
+    src, tgt, w = src[live], tgt[live], norm[live]
+    trial, row, col = src // n, position[src], position[tgt]
+    to_transient, to_active = transient[tgt], is_active[tgt]
 
-    norm = network.normalized_trust
-    live = (norm > 0.0) & (kind[network.edge_source] == TRANSIENT)
-    src = position[network.edge_source[live]]
-    tgt_node = network.edge_target[live]
-    tgt_kind = kind[tgt_node]
-    w = norm[live]
+    weights, leaked, sweeps = np.ones((b, a)), np.zeros(b), np.zeros(b, dtype=np.int64)
+    stranded_count = n - a - t_count
+    counts = np.flatnonzero(np.bincount(t_count))
+    for t in counts[counts > 0]:
+        members = np.flatnonzero(t_count == t)
+        mine = t_count[trial] == t
+        g, r, c, v = np.searchsorted(members, trial[mine]), row[mine], col[mine], w[mine]
+        m_t, m_a = to_transient[mine], to_active[mine]
+        q = np.zeros((len(members), t, t))
+        q[g[m_t], r[m_t], c[m_t]] = v[m_t]
+        rr = np.zeros((len(members), t, a))
+        rr[g[m_a], r[m_a], c[m_a]] = v[m_a]
+        if config is not None:
+            m_s = ~(m_t | m_a)
+            out = np.bincount(g[m_s] * t + r[m_s], weights=v[m_s], minlength=len(members) * t)
+            for j, i in enumerate(members):
+                sweeps[i], leaked[i] = _sweep(q[j], rr[j], out[j * t:(j + 1) * t], weights[i],
+                                              config, callback)
+            continue
+        try:
+            x = np.linalg.solve(np.subtract(np.eye(t), q, out=q), rr)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
+        weights[members] += x.sum(axis=1)
+        # every transient unit is eventually absorbed or leaks into the
+        # stranded region, so the leak is the mass the solve left over
+        absorbed = x.sum(axis=(1, 2))
+        lost = t - absorbed
+        # written so that a NaN leak (a subnormal pivot) fails too
+        bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count[members] == 0)
+                                              & (lost > CONSERVATION_TOL))
+        if bad.any():
+            raise SingularSystemError(
+                f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} of "
+                f"{t} transient units absorbed"
+            )
+        leaked[members] = np.maximum(0.0, lost)
+    # with no stranded region nothing can leak, so any leak is fp residue
+    mass = np.where(stranded_count > 0, stranded_count + leaked, 0.0)
+    weights += (mass / a)[:, None]
+    return weights, mass, sweeps
 
-    to_transient = np.zeros((t_count, t_count), dtype=np.float64)
-    to_active = np.zeros((t_count, a_count), dtype=np.float64)
-    to_stranded = np.zeros(t_count, dtype=np.float64)
-    m = tgt_kind == TRANSIENT
-    np.add.at(to_transient, (src[m], position[tgt_node[m]]), w[m])
-    m = tgt_kind == ACTIVE
-    np.add.at(to_active, (src[m], position[tgt_node[m]]), w[m])
-    m = tgt_kind == STRANDED
-    np.add.at(to_stranded, src[m], w[m])
-    return active_ids, to_transient, to_active, to_stranded, len(partition.stranded)
+
+def _sweep(
+    to_transient: np.ndarray, to_active: np.ndarray, to_stranded: np.ndarray,
+    weights: np.ndarray, config: PropagationConfig, callback: Callable[[float], None] | None,
+) -> tuple[int, float]:
+    """One trial's sweeps: adds absorbed trust to ``weights``, returns (sweeps, leak)."""
+    iterations = 0
+    leaked = 0.0
+    mobile = np.ones(len(to_transient), dtype=np.float64)
+    residual = float(mobile.sum())
+    converged = residual < config.tolerance
+    while not converged and iterations < config.max_iterations:
+        weights += to_active.T @ mobile
+        leaked += float(to_stranded @ mobile)
+        mobile = to_transient.T @ mobile
+        residual = float(mobile.sum())
+        iterations += 1
+        if callback is not None:
+            callback(residual)
+        converged = residual < config.tolerance
+    if not converged:
+        raise NoConvergenceError(
+            f"residual mobile trust {residual!r} after {iterations} sweeps "
+            f"(tolerance {config.tolerance!r})"
+        )
+    return iterations, leaked

@@ -9,6 +9,14 @@ delegation-weighted average, both against the whole-population mean.
 Every trial derives its own RNG stream from (master seed, active size,
 trial index), so results are identical no matter how trials are ordered
 or distributed across worker processes.
+
+One kernel runs every trial, ``_BATCH`` (8) trials of one size per pass.
+Each trial draws from its own stream as a lone trial would; its O(n^2)
+score matrix stays per trial, since stacking them saves no time and only
+adds memory.  The rest runs on arrays with a leading trial axis: the
+trials form one graph of disjoint copies for reachability, and trials
+with equal transient count T share one stacked (G, T, T) solve.  Each
+trial's bits are those of the trial run alone.
 """
 
 from __future__ import annotations
@@ -21,17 +29,12 @@ from functools import partial
 
 import numpy as np
 
-from .decisions import decision_report
-from .delegation import (
-    PropagationConfig,
-    StrandedPolicy,
-    WeightVector,
-    compute_weights_exact,
-    compute_weights_iterative,
-)
-from .network import ActiveSet, TrustNetwork, generate_network
+from .decisions import _decide, decision_error
+from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
+from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
+_BATCH = 8
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:
@@ -122,14 +125,6 @@ def _shared_network(config: ExperimentConfig) -> TrustNetwork:
     return generate_network(config.n, config.k, rng)
 
 
-def _solve_weights(
-    network: TrustNetwork, active: ActiveSet, config: ExperimentConfig
-) -> WeightVector:
-    if config.solver == "iterative":
-        return compute_weights_iterative(network, active, config.propagation)
-    return compute_weights_exact(network, active, config.propagation.stranded_policy)
-
-
 def run_trial(
     config: ExperimentConfig,
     active_size: int,
@@ -146,25 +141,66 @@ def run_trial(
         raise ValueError(f"active_size {active_size} out of [1, {config.n}]")
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
-    rng = _trial_rng(config, active_size, trial_index)
     if network is not None:
         if network.n != config.n:
             raise ValueError(f"injected network has n={network.n}, config says n={config.n}")
-    elif config.fresh_network_per_trial:
-        network = generate_network(config.n, config.k, rng)
-    else:
+    elif not config.fresh_network_per_trial:
         network = _shared_network(config)
-    active = ActiveSet(rng.choice(config.n, size=active_size, replace=False))
-    weights = _solve_weights(network, active, config)
-    report = decision_report(network, active, weights)
-    return report.error_traditional, report.error_weighted, weights.stranded_mass > 0.0
+    return _trial_block(config, network, (active_size, trial_index, trial_index + 1))[0]
 
 
 def _trial_block(
     config: ExperimentConfig, network: TrustNetwork | None, block: tuple[int, int, int]
 ) -> list[tuple[float, float, bool]]:
+    """Triples of trials start..stop-1 at one size.  A failing pass is re-run
+    a trial at a time, so the lowest-index failing trial's error is raised,
+    with ``trial`` set to (active size, trial index, master seed)."""
     size, start, stop = block
-    return [run_trial(config, size, i, network=network) for i in range(start, stop)]
+    triples = []
+    for lo in range(start, stop, _BATCH):
+        hi = min(lo + _BATCH, stop)
+        try:
+            triples += _kernel(config, network, size, lo, hi)
+        except (DelegationError, ValueError) as exc:
+            if hi - lo == 1:
+                exc.trial = (size, lo, config.master_seed)
+                raise
+            for i in range(lo, hi):  # the lowest-index failing trial raises here
+                _trial_block(config, network, (size, i, i + 1))
+            raise
+    return triples
+
+
+def _kernel(
+    config: ExperimentConfig, network: TrustNetwork | None, size: int, lo: int, hi: int
+) -> list[tuple[float, float, bool]]:
+    """Trials lo..hi-1 at one active size in one pass; ``network`` None
+    draws a fresh network per trial."""
+    n, b = config.n, hi - lo
+    drawn, active = [], []
+    for i in range(lo, hi):
+        rng = _trial_rng(config, size, i)
+        if network is None:
+            drawn.append(_draw_targets(n, config.k, rng))
+        active.append(rng.choice(n, size=size, replace=False))
+    active = np.sort(active, axis=1)
+    offset = np.arange(0, b * n, n)[:, None]
+    if network is None:
+        opinions, targets = map(np.array, zip(*drawn))
+        src = (np.repeat(np.arange(n), config.k) + offset).ravel()
+        tgt = (targets + offset).ravel()
+        norm = _shares(src, trust_value(opinions.ravel()[src], opinions.ravel()[tgt]), b * n)
+    else:
+        opinions = np.broadcast_to(network.opinions, (b, n))
+        src, tgt = (network.edge_source + offset).ravel(), (network.edge_target + offset).ravel()
+        norm = np.tile(network.normalized_trust, b)
+    stranded = ~_reach(src, tgt, norm, (active + offset).ravel(), b * n).reshape(b, n)
+    sweeps = config.propagation if config.solver == "iterative" else None
+    weights, mass, _ = _absorb(n, src, tgt, norm, active, stranded,
+                               config.propagation.stranded_policy, sweeps)
+    outcome, expected, weighted = _decide(opinions, active, weights)
+    err_t, err_w = decision_error(outcome, expected), decision_error(weighted, expected)
+    return list(zip(err_t.tolist(), err_w.tolist(), (mass > 0.0).tolist()))
 
 
 def run_experiment(

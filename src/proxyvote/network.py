@@ -28,47 +28,49 @@ def trust_value(opinion_p: float, opinion_q: float) -> float:
 
 
 class ActiveSet:
-    """Immutable non-empty set of node ids acting as representatives."""
+    """Immutable non-empty set of node ids acting as representatives,
+    held as one sorted, read-only ``int64`` array ``ids``."""
 
-    __slots__ = ("members",)
+    __slots__ = ("ids",)
 
     def __init__(self, members: Iterable[int]):
-        ids = frozenset(int(i) for i in members)
-        if not ids:
+        try:
+            ids = np.array(sorted({int(i) for i in members}), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("active node ids must fit in a signed 64-bit integer") from None
+        if not ids.size:
             raise ValueError("active set must contain at least one node")
-        if min(ids) < 0:
+        if ids[0] < 0:
             raise ValueError("active set contains negative node ids")
-        object.__setattr__(self, "members", ids)
+        ids.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
 
     def __setattr__(self, name, value):
         raise AttributeError("ActiveSet is immutable")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
+        return iter(self.ids.tolist())
 
     def __contains__(self, node: object) -> bool:
-        return node in self.members
+        return node in self.ids.tolist()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ActiveSet):
-            return self.members == other.members
+            return np.array_equal(self.ids, other.ids)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return hash(frozenset(self.ids.tolist()))
 
     def __repr__(self) -> str:
-        return f"ActiveSet({sorted(self.members)})"
-
-    def sorted_ids(self) -> np.ndarray:
-        return np.array(sorted(self.members), dtype=np.int64)
+        return f"ActiveSet({self.ids.tolist()})"
 
     def validate_for(self, n: int) -> None:
         """Raise ValueError unless all members are valid ids of an n-node network."""
-        bad = [i for i in sorted(self.members) if not 0 <= i < n]
+        bad = self.ids[self.ids >= n].tolist()
         if bad:
             raise ValueError(f"active node ids out of range for {n}-node network: {bad}")
 
@@ -115,21 +117,17 @@ class TrustNetwork:
     def normalized_trust(self) -> np.ndarray:
         """Each edge's share of its source's total raw out-trust, 0.0 where
         that total is <= 0; read-only, computed on first use."""
-        totals = self._out_totals()[self.edge_source]
-        norm = np.divide(
-            self.raw_trust, totals, out=np.zeros(self.edge_count), where=totals > 0.0
-        )
+        _check_structure(self)
+        norm = _shares(self.edge_source, self.raw_trust, self.n)
         norm.setflags(write=False)
         return norm
 
     def dangling_nodes(self) -> list[int]:
         """Sorted ids of the nodes whose total raw out-trust is <= 0,
         including every node without out-edges."""
-        return np.flatnonzero(self._out_totals() <= 0.0).tolist()
-
-    def _out_totals(self) -> np.ndarray:
         _check_structure(self)
-        return np.bincount(self.edge_source, weights=self.raw_trust, minlength=self.n)
+        totals = np.bincount(self.edge_source, weights=self.raw_trust, minlength=self.n)
+        return np.flatnonzero(totals <= 0.0).tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrustNetwork):
@@ -142,14 +140,24 @@ class TrustNetwork:
         )
 
 
+def _shares(src: np.ndarray, raw: np.ndarray, nodes: int) -> np.ndarray:
+    """Each edge's share of its source's total raw out-trust, 0.0 where that
+    total is <= 0; the edges of a node are summed in their array order."""
+    totals = np.bincount(src, weights=raw, minlength=nodes)[src]
+    return np.divide(raw, totals, out=np.zeros(len(raw)), where=totals > 0.0)
+
+
 def _check_structure(network: TrustNetwork) -> None:
-    # the per-node totals and the solvers index by edge endpoints; bad ones
-    # are a structural fault, not a value-level violation.  Sources are
-    # sorted, so their extremes are the first and last entries.
+    # the per-node totals and the solvers index by edge endpoints and keep one
+    # flow entry per (source, target) pair, so bad endpoints and repeated pairs
+    # are structural faults.  Edges are in canonical order: source extremes are
+    # the first and last entries, and repeated pairs are adjacent.
     if network.edge_count:
         src, tgt = network.edge_source, network.edge_target
         if src[0] < 0 or src[-1] >= network.n or tgt.min() < 0 or tgt.max() >= network.n:
             raise ValueError("network has edges with out-of-range endpoints")
+        if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
+            raise ValueError("network has duplicate edges")
 
 
 def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
@@ -172,14 +180,20 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
         raise ValueError(f"invalid configuration: need n >= 2, got n={n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"invalid configuration: need 1 <= k <= n-1, got k={k}, n={n}")
+    opinions, tgt = _draw_targets(n, k, rng)
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    # opinions lie in [0, 1), so every raw trust is positive and no node dangles
+    return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
+
+
+def _draw_targets(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Opinions and the k out-targets of every node, drawn from ``rng``;
+    targets ascend per node, so edges from ``np.repeat(np.arange(n), k)`` are canonical."""
     opinions = rng.random(n)
     # k smallest of n-1 iid uniforms per row = uniform k-subset of the others
     scores = rng.random((n, n - 1))
-    cols = np.argpartition(scores, k - 1, axis=1)[:, :k].reshape(-1)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    tgt = np.where(cols < src, cols, cols + 1)
-    # opinions lie in [0, 1), so every raw trust is positive and no node dangles
-    return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
+    cols = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
+    return opinions, (cols + (cols >= np.arange(n)[:, None])).reshape(-1)
 
 
 def validate_network(network: TrustNetwork) -> list[str]:

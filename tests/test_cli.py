@@ -261,6 +261,19 @@ def test_simulate_stranded_error_same_across_workers(capsys):
     assert capsys.readouterr().err == serial
 
 
+def test_simulate_error_names_its_trial(capsys):
+    args = ("simulate", "--n", "30", "--k", "2", "--trials", "40", "--sizes", "2,10",
+            "--seed", "4", "--stranded-policy", "reject")
+    assert run_cli(*args) == 3
+    serial = capsys.readouterr().err
+    lines = serial.splitlines()
+    assert lines[0] == "error: failed at active size 2, trial 13, master seed 4"
+    assert lines[1].startswith("error: trust stranded at nodes with no path")
+    assert len(lines) == 2
+    assert run_cli(*args, "--workers", "2") == 3
+    assert capsys.readouterr().err == serial
+
+
 def test_simulate_output_digest_is_pinned(tmp_path):
     # results files must stay byte-identical for a fixed seed
     out = tmp_path / "golden.csv"

@@ -9,37 +9,40 @@ from proxyvote import (
     compute_weights_exact,
     decision_error,
     decision_report,
-    expected_decision,
     generate_network,
-    group_decision,
-    weighted_group_decision,
 )
 from conftest import random_instance
 
 
+def _full_weight(network, node):
+    """Active set {node} with the whole population's weight on it."""
+    return ActiveSet([node]), WeightVector(weights={node: float(network.n)})
+
+
 def test_four_node_decision_values(four_node, four_node_active):
-    assert group_decision(four_node, four_node_active) == pytest.approx(0.7, abs=1e-15)
-    assert expected_decision(four_node) == pytest.approx(0.75, abs=1e-15)
     weights = compute_weights_exact(four_node, four_node_active)
-    assert weighted_group_decision(four_node, four_node_active, weights) == pytest.approx(
-        0.75, abs=1e-15
-    )
     report = decision_report(four_node, four_node_active, weights)
+    assert report.group_decision == pytest.approx(0.7, abs=1e-15)
+    assert report.expected_decision == pytest.approx(0.75, abs=1e-15)
+    assert report.weighted_group_decision == pytest.approx(0.75, abs=1e-15)
     assert report.error_traditional == pytest.approx(0.05, abs=1e-12)
     assert report.error_weighted <= 1e-12
 
 
 def test_group_decision_single_and_constant():
     net = TrustNetwork([0.3, 0.62, 0.9], [], [], [])
-    assert group_decision(net, ActiveSet([1])) == 0.62
+    assert decision_report(net, *_full_weight(net, 1)).group_decision == 0.62
     flat = TrustNetwork([0.4] * 5, [], [], [])
     for members in ([0], [1, 3], list(range(5))):
-        assert group_decision(flat, ActiveSet(members)) == 0.4
+        share = WeightVector(weights={i: 5 / len(members) for i in members})
+        assert decision_report(flat, ActiveSet(members), share).group_decision == 0.4
 
 
 def test_expected_decision_examples():
-    assert expected_decision(TrustNetwork([0.0, 1.0], [], [], [])) == 0.5
-    assert expected_decision(TrustNetwork([0.7] * 9, [], [], [])) == pytest.approx(
+    halves = TrustNetwork([0.0, 1.0], [], [], [])
+    assert decision_report(halves, *_full_weight(halves, 0)).expected_decision == 0.5
+    flat = TrustNetwork([0.7] * 9, [], [], [])
+    assert decision_report(flat, *_full_weight(flat, 4)).expected_decision == pytest.approx(
         0.7, abs=1e-15
     )
 
@@ -48,28 +51,27 @@ def test_weighted_reduces_to_expected_with_unit_weights():
     net = generate_network(17, 2, np.random.default_rng(3))
     active = ActiveSet(range(17))
     ones = WeightVector(weights={i: 1.0 for i in range(17)})
-    assert weighted_group_decision(net, active, ones) == expected_decision(net)
+    report = decision_report(net, active, ones)
+    assert report.weighted_group_decision == report.expected_decision
 
 
 def test_weighted_single_active_with_full_weight():
     net = TrustNetwork([0.1, 0.8, 0.3, 0.4], [], [], [])
-    vector = WeightVector(weights={1: 4.0})
-    assert weighted_group_decision(net, ActiveSet([1]), vector) == pytest.approx(
-        0.8, abs=1e-15
-    )
+    report = decision_report(net, *_full_weight(net, 1))
+    assert report.weighted_group_decision == pytest.approx(0.8, abs=1e-15)
 
 
 def test_weighted_rejects_mismatched_membership(four_node, four_node_active):
     wrong = WeightVector(weights={0: 2.0, 3: 2.0})
-    with pytest.raises(ValueError):
-        weighted_group_decision(four_node, four_node_active, wrong)
+    with pytest.raises(ValueError, match="does not cover exactly"):
+        decision_report(four_node, four_node_active, wrong)
 
 
 def test_weighted_rejects_broken_conservation(four_node, four_node_active):
     for corrupted in (WeightVector(weights={2: 1.5, 3: 1.5}),
                       WeightVector(weights={2: 1.5, 3: float("nan")})):
-        with pytest.raises(ValueError):
-            weighted_group_decision(four_node, four_node_active, corrupted)
+        with pytest.raises(ValueError, match="corrupted weight vector"):
+            decision_report(four_node, four_node_active, corrupted)
 
 
 def test_decision_error_examples():
@@ -86,7 +88,7 @@ def test_decision_values_bounded_by_opinion_range():
         net, active = random_instance(rng, max_n=40)
         weights = compute_weights_exact(net, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
         report = decision_report(net, active, weights)
-        active_ops = net.opinions[active.sorted_ids()]
+        active_ops = net.opinions[active.ids]
         lo, hi = active_ops.min(), active_ops.max()
         assert lo - 1e-12 <= report.group_decision <= hi + 1e-12
         assert lo - 1e-12 <= report.weighted_group_decision <= hi + 1e-12
@@ -122,5 +124,6 @@ def test_translation_equivariance():
 
 
 def test_empty_network_rejected():
-    with pytest.raises(ValueError):
-        expected_decision(TrustNetwork([], [], [], []))
+    empty = TrustNetwork([], [], [], [])
+    with pytest.raises(ValueError, match="out of range for 0-node network"):
+        decision_report(empty, ActiveSet([0]), WeightVector(weights={0: 0.0}))

@@ -133,7 +133,7 @@ def test_reachability_matches_brute_force_closure(graph):
         if np.array_equal(wider, closure):
             break
         closure = wider
-    members = sorted(active.members)
+    members = active.ids.tolist()
     reaches = closure[:, members].any(axis=1)
     others = [i for i in range(n) if i not in active]
     part = reachability_partition(net, active)
@@ -207,6 +207,9 @@ def test_stranded_pair_reject_and_uniform():
     assert type(restored) is StrandedTrustError
     assert restored.stranded == [0, 1]
     assert str(restored) == str(excinfo.value)
+    # attributes set after raising (a simulate trial's coordinates) survive too
+    excinfo.value.trial = (2, 5, 7)
+    assert pickle.loads(pickle.dumps(excinfo.value)).trial == (2, 5, 7)
     with pytest.raises(StrandedTrustError):
         compute_weights_exact(net, active)
     # hand trace: both stranded units split evenly over the two actives
@@ -417,6 +420,12 @@ def test_out_of_range_endpoints_rejected(four_node_active):
         compute_weights_iterative(broken, four_node_active)
     with pytest.raises(ValueError, match="out-of-range endpoints"):
         compute_weights_exact(broken, four_node_active)
+    # the flow blocks hold one entry per (source, target) pair, so a repeated
+    # pair is refused rather than half dropped
+    doubled = TrustNetwork([0.1, 0.5, 0.9], [0, 0, 1], [1, 1, 2], [0.5, 0.5, 1.0])
+    for solve in (compute_weights_iterative, compute_weights_exact):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            solve(doubled, ActiveSet([2]))
 
 
 def test_active_out_of_range_rejected(four_node):

@@ -1,12 +1,19 @@
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyvote import (
+    DelegationError,
     ExperimentConfig,
+    NoConvergenceError,
     PropagationConfig,
     StrandedPolicy,
     StrandedTrustError,
@@ -223,3 +230,73 @@ def test_experiment_config_validation():
         run_experiment(ExperimentConfig(trials=1, active_sizes=(2,)), workers=0)
     with pytest.raises(ValueError, match="CPU count"):
         run_experiment(ExperimentConfig(trials=1, active_sizes=(2,)), workers=os.cpu_count() + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_block_matches_blocks_of_one(data):
+    # one block of B trials, cut into kernel passes of at most _BATCH, must
+    # give exactly the triples of B blocks of one, or raise the error of
+    # the lowest-index failing trial
+    n = data.draw(st.integers(2, 40), label="n")
+    config = ExperimentConfig(
+        n=n,
+        k=data.draw(st.sampled_from(sorted({1, min(3, n - 1), n - 1})), label="k"),
+        trials=1,
+        active_sizes=(data.draw(st.integers(1, n), label="size"),),
+        master_seed=data.draw(st.integers(0, 2**16), label="seed"),
+        fresh_network_per_trial=data.draw(st.booleans(), label="fresh"),
+        solver=data.draw(st.sampled_from(experiment.SOLVERS), label="solver"),
+        propagation=PropagationConfig(
+            stranded_policy=data.draw(st.sampled_from(StrandedPolicy), label="policy"),
+            # a starved sweep budget makes trials fail in both orders with stranding
+            max_iterations=data.draw(st.sampled_from([2, 100_000]), label="max_iterations"),
+        ),
+    )
+    trials = data.draw(st.sampled_from([1, 7, 8, 9, 17]), label="trials")
+    size = config.active_sizes[0]
+    network = None if config.fresh_network_per_trial else experiment._shared_network(config)
+    singles, first_error = [], None
+    for i in range(trials):
+        try:
+            singles += experiment._trial_block(config, network, (size, i, i + 1))
+        except (DelegationError, ValueError) as exc:
+            first_error = exc
+            break
+    if first_error is None:
+        assert experiment._trial_block(config, network, (size, 0, trials)) == singles
+        return
+    with pytest.raises(type(first_error)) as excinfo:
+        experiment._trial_block(config, network, (size, 0, trials))
+    assert str(excinfo.value) == str(first_error)
+    assert excinfo.value.trial == first_error.trial == (size, len(singles), config.master_seed)
+
+
+def test_block_raises_lowest_index_failing_trial():
+    # trial 1 runs out of sweeps and trial 3 strands trust: a pass that ran
+    # the reject check of all its trials before solving would raise trial 3's
+    config = ExperimentConfig(
+        n=12, k=1, trials=8, active_sizes=(3,), master_seed=212, solver="iterative",
+        propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT, max_iterations=2),
+    )
+    with pytest.raises(StrandedTrustError):
+        run_trial(config, 3, 3)
+    with pytest.raises(NoConvergenceError) as excinfo:
+        run_experiment(config)
+    assert excinfo.value.trial == (3, 1, 212)
+
+
+def test_run_experiment_leaves_numpy_ma_unimported():
+    # numpy.ma costs about 1 MiB of RSS; np.unique is one call that imports it
+    code = (
+        "import sys; import proxyvote as pv; "
+        "pv.run_experiment(pv.ExperimentConfig(n=30, k=3, trials=20, active_sizes=(2, 30))); "
+        "pv.run_experiment(pv.ExperimentConfig(n=30, k=1, trials=20, active_sizes=(2,), "
+        "fresh_network_per_trial=False, solver='iterative')); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

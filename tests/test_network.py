@@ -149,7 +149,10 @@ def test_active_set_invariants():
         ActiveSet([-1, 2])
     active = ActiveSet([3, 1, 3])
     assert len(active) == 2
-    assert list(active.sorted_ids()) == [1, 3]
+    assert active.ids.tolist() == [1, 3] and active.ids.dtype == np.int64
+    assert not active.ids.flags.writeable
+    assert list(active) == [1, 3] and 3 in active and 2 not in active
+    assert active == ActiveSet([1, 3]) and hash(active) == hash(frozenset({1, 3}))
     active.validate_for(4)
     with pytest.raises(ValueError):
         active.validate_for(3)
