@@ -9,10 +9,10 @@ population size.
 
 Two interchangeable computations are provided:
 
-* :func:`compute_weights_iterative` runs the redistribution sweeps
-  directly until the mobile residual falls below a tolerance.
+* :func:`compute_weights_iterative` runs the redistribution sweeps over
+  the edge list until the mobile residual falls below a tolerance.
 * :func:`compute_weights_exact` treats active nodes as absorbing states
-  and solves the linear system for absorption probabilities in one shot.
+  and solves the dense linear system for absorption probabilities.
 
 Trust held by nodes with no directed path to any active node can never
 be absorbed; the stranded policy decides whether that is an error or is
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -125,7 +124,6 @@ def compute_weights_iterative(
     network: TrustNetwork,
     active: ActiveSet,
     config: PropagationConfig = PropagationConfig(),
-    callback: Callable[[float], None] | None = None,
 ) -> WeightVector:
     """Propagate trust by synchronous sweeps until absorbed by the active set.
 
@@ -133,13 +131,13 @@ def compute_weights_iterative(
     one mobile unit.  Per sweep, every transient node sends all trust it
     holds along its normalized out-edges simultaneously; trust arriving
     at active nodes is absorbed.  Sweeps stop when the total mobile trust
-    drops below ``config.tolerance``; ``callback``, if given, is called
-    with the mobile residual after every sweep.  Raises
+    drops below ``config.tolerance``; the residual left then is dropped,
+    so the weights sum to the population size within it.  Raises
     :class:`StrandedTrustError` if nodes are stranded under the REJECT
     policy and :class:`NoConvergenceError` if ``config.max_iterations``
     sweeps leave the residual at or above the tolerance.
     """
-    return _weight_vector(network, active, config.stranded_policy, config, callback)
+    return _weight_vector(network, active, config.stranded_policy, config)
 
 
 def compute_weights_exact(
@@ -164,14 +162,14 @@ def compute_weights_exact(
 
 def _weight_vector(
     network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy,
-    config: PropagationConfig | None = None, callback: Callable[[float], None] | None = None,
+    config: PropagationConfig | None = None,
 ) -> WeightVector:
     """:func:`_absorb` on a batch of one; ``config`` None selects the exact solve."""
     stranded = np.zeros((1, network.n), dtype=bool)
     stranded[0, reachability_partition(network, active).stranded] = True
     weights, mass, sweeps = _absorb(
         network.n, network.edge_source, network.edge_target, network.normalized_trust,
-        active.ids[None], stranded, policy, config, callback,
+        active.ids[None], stranded, policy, config,
     )
     return WeightVector(dict(zip(active.ids.tolist(), weights[0].tolist())), float(mass[0]),
                         None if config is None else int(sweeps[0]))
@@ -200,15 +198,15 @@ def _reach(src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarra
 def _absorb(
     n: int, src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarray,
     stranded: np.ndarray, policy: StrandedPolicy, config: PropagationConfig | None = None,
-    callback: Callable[[float], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delegation weights of B trials of n nodes each (node v of trial b
     is b*n + v in the edge arrays); ``active`` (B, A) holds each trial's
     sorted active ids and ``stranded`` (B, n) marks the nodes that reach
-    none.  Trials are grouped by transient count T: each group's Q and R
-    blocks take one stacked exact solve or, given a sweep ``config``, the
-    sweeps trial by trial.  Returns (weights (B, A), stranded mass (B,),
-    sweeps used (B,)), the stranded mass split evenly over the weights.
+    none.  Given a sweep ``config``, all trials sweep their live edges
+    together; otherwise trials are grouped by transient count T and each
+    group's Q and R blocks take one stacked exact solve.  Returns (weights
+    (B, A), stranded mass (B,), sweeps used (B,)), the stranded mass split
+    evenly over the weights.
     """
     b, a = active.shape
     if policy is StrandedPolicy.REJECT and stranded.any():
@@ -223,74 +221,72 @@ def _absorb(
     transient, is_active, position = transient.ravel(), is_active.ravel(), position.ravel()
     live = (norm > 0.0) & transient[src]
     src, tgt, w = src[live], tgt[live], norm[live]
-    trial, row, col = src // n, position[src], position[tgt]
-    to_transient, to_active = transient[tgt], is_active[tgt]
 
     weights, leaked, sweeps = np.ones((b, a)), np.zeros(b), np.zeros(b, dtype=np.int64)
     stranded_count = n - a - t_count
-    counts = np.flatnonzero(np.bincount(t_count))
-    for t in counts[counts > 0]:
-        members = np.flatnonzero(t_count == t)
-        mine = t_count[trial] == t
-        g, r, c, v = np.searchsorted(members, trial[mine]), row[mine], col[mine], w[mine]
-        m_t, m_a = to_transient[mine], to_active[mine]
-        q = np.zeros((len(members), t, t))
-        q[g[m_t], r[m_t], c[m_t]] = v[m_t]
-        rr = np.zeros((len(members), t, a))
-        rr[g[m_a], r[m_a], c[m_a]] = v[m_a]
-        if config is not None:
-            m_s = ~(m_t | m_a)
-            out = np.bincount(g[m_s] * t + r[m_s], weights=v[m_s], minlength=len(members) * t)
-            for j, i in enumerate(members):
-                sweeps[i], leaked[i] = _sweep(q[j], rr[j], out[j * t:(j + 1) * t], weights[i],
-                                              config, callback)
-            continue
-        try:
-            x = np.linalg.solve(np.subtract(np.eye(t), q, out=q), rr)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
-        weights[members] += x.sum(axis=1)
-        # every transient unit is eventually absorbed or leaks into the
-        # stranded region, so the leak is the mass the solve left over
-        absorbed = x.sum(axis=(1, 2))
-        lost = t - absorbed
-        # written so that a NaN leak (a subnormal pivot) fails too
-        bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count[members] == 0)
-                                              & (lost > CONSERVATION_TOL))
-        if bad.any():
-            raise SingularSystemError(
-                f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} of "
-                f"{t} transient units absorbed"
-            )
-        leaked[members] = np.maximum(0.0, lost)
+    trial = src // n
+    if config is not None:
+        # a sweep is one bincount of every live edge's flow into its bin of
+        # [next mobile (B*n) | weights (B*A) | leak (B)]; a trial whose
+        # residual drops below the tolerance stops and its edges leave the
+        # arrays, so it gets the bits it gets alone
+        to_weight, to_leak = b * n + trial * a + position[tgt], b * n + b * a + trial
+        dest = np.where(transient[tgt], tgt, np.where(is_active[tgt], to_weight, to_leak))
+        mobile, residual = transient.astype(float), t_count.astype(float)
+        running, iterations = np.ones(b, dtype=bool), 0
+        while True:
+            done = running & (residual < config.tolerance)
+            if done.any():
+                sweeps[done] = iterations
+                running &= ~done
+                if not running.any():
+                    break
+                keep = running[trial]
+                src, dest, w, trial = src[keep], dest[keep], w[keep], trial[keep]
+            if iterations == config.max_iterations:
+                raise NoConvergenceError(
+                    f"residual mobile trust {float(residual[running.argmax()])!r} after "
+                    f"{iterations} sweeps (tolerance {config.tolerance!r})"
+                )
+            flow = np.bincount(dest, weights=mobile[src] * w, minlength=b * (n + a + 1))
+            weights += flow[b * n:b * (n + a)].reshape(b, a)
+            leaked += flow[b * (n + a):]
+            mobile = flow[:b * n]
+            residual = mobile.reshape(b, n).sum(axis=1)
+            iterations += 1
+    else:
+        row, col = position[src], position[tgt]
+        to_transient, to_active = transient[tgt], is_active[tgt]
+        counts = np.flatnonzero(np.bincount(t_count))
+        for t in counts[counts > 0]:
+            members = np.flatnonzero(t_count == t)
+            mine = t_count[trial] == t
+            g, r, c, v = np.searchsorted(members, trial[mine]), row[mine], col[mine], w[mine]
+            m_t, m_a = to_transient[mine], to_active[mine]
+            q = np.zeros((len(members), t, t))
+            q[g[m_t], r[m_t], c[m_t]] = v[m_t]
+            rr = np.zeros((len(members), t, a))
+            rr[g[m_a], r[m_a], c[m_a]] = v[m_a]
+            try:
+                x = np.linalg.solve(np.subtract(np.eye(t), q, out=q), rr)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
+            weights[members] += x.sum(axis=1)
+            # every transient unit is eventually absorbed or leaks into the
+            # stranded region, so the leak is the mass the solve left over
+            absorbed = x.sum(axis=(1, 2))
+            lost = t - absorbed
+            # written so that a NaN leak (a subnormal pivot) fails too
+            bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count[members] == 0)
+                                                  & (lost > CONSERVATION_TOL))
+            if bad.any():
+                raise SingularSystemError(
+                    f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} "
+                    f"of {t} transient units absorbed"
+                )
+            leaked[members] = np.maximum(0.0, lost)
     # with no stranded region nothing can leak, so any leak is fp residue
     mass = np.where(stranded_count > 0, stranded_count + leaked, 0.0)
     weights += (mass / a)[:, None]
     return weights, mass, sweeps
 
-
-def _sweep(
-    to_transient: np.ndarray, to_active: np.ndarray, to_stranded: np.ndarray,
-    weights: np.ndarray, config: PropagationConfig, callback: Callable[[float], None] | None,
-) -> tuple[int, float]:
-    """One trial's sweeps: adds absorbed trust to ``weights``, returns (sweeps, leak)."""
-    iterations = 0
-    leaked = 0.0
-    mobile = np.ones(len(to_transient), dtype=np.float64)
-    residual = float(mobile.sum())
-    converged = residual < config.tolerance
-    while not converged and iterations < config.max_iterations:
-        weights += to_active.T @ mobile
-        leaked += float(to_stranded @ mobile)
-        mobile = to_transient.T @ mobile
-        residual = float(mobile.sum())
-        iterations += 1
-        if callback is not None:
-            callback(residual)
-        converged = residual < config.tolerance
-    if not converged:
-        raise NoConvergenceError(
-            f"residual mobile trust {residual!r} after {iterations} sweeps "
-            f"(tolerance {config.tolerance!r})"
-        )
-    return iterations, leaked

@@ -1,4 +1,6 @@
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from proxyvote import (
     generate_network,
     reachability_partition,
 )
+from proxyvote import delegation
 from conftest import random_instance
 
 UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
@@ -370,14 +373,16 @@ def test_residual_monotone_decreasing():
         active = ActiveSet(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
         if reachability_partition(net, active).stranded.size:
             continue
-        residuals: list[float] = []
-        compute_weights_iterative(net, active, callback=residuals.append)
-        previous = float(n - len(active))
-        for value in residuals:
+        used = compute_weights_iterative(net, active).iterations_used
+        previous, budget = float(n - len(active)), 1
+        while budget < used:  # the residual left after `budget` sweeps
+            with pytest.raises(NoConvergenceError) as excinfo:
+                compute_weights_iterative(net, active, PropagationConfig(max_iterations=budget))
+            value = float(re.match(r"residual mobile trust (\S+) ", str(excinfo.value))[1])
             assert value <= previous
             if previous >= 1e-9:
                 assert value < previous
-            previous = value
+            previous, budget = value, 2 * budget
 
 
 def test_singular_report_is_wrapped(four_node, four_node_active, monkeypatch):
@@ -399,10 +404,64 @@ def test_no_convergence_when_budget_too_small():
 
 
 def test_iterative_final_residual_below_tolerance(four_node, four_node_active):
-    residuals: list[float] = []
+    # nothing is stranded, so the residue the last sweep drops is n - sum(w)
     config = PropagationConfig(tolerance=1e-12)
-    compute_weights_iterative(four_node, four_node_active, config, callback=residuals.append)
-    assert residuals[-1] < 1e-12
+    vector = compute_weights_iterative(four_node, four_node_active, config)
+    assert abs(four_node.n - vector.total()) < config.tolerance
+    short = PropagationConfig(tolerance=1e-12, max_iterations=vector.iterations_used - 1)
+    with pytest.raises(NoConvergenceError):
+        compute_weights_iterative(four_node, four_node_active, short)
+
+
+def test_iterative_solve_memory_is_linear_in_edges():
+    # the sweeps run on the edge arrays; a dense T x T flow block alone
+    # would take about 29 MiB here
+    rng = np.random.default_rng(1)
+    net = generate_network(2000, 3, rng)
+    active = ActiveSet(rng.choice(2000, size=100, replace=False))
+    tracemalloc.start()
+    try:
+        compute_weights_iterative(net, active)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 2**16),
+       st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]))
+def test_iterative_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget):
+    # trials of one pass that stop after different sweep counts, or sweep
+    # not at all, leave each other's weights, masses and counts alone;
+    # zero-trust edges vary the transient count from trial to trial
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, n + 1))
+    nets = [generate_network(n, int(rng.integers(1, n)), rng) for _ in range(b)]
+    nets = [TrustNetwork(net.opinions, net.edge_source, net.edge_target,
+                         net.raw_trust * (rng.random(len(net.raw_trust)) < 0.7)) for net in nets]
+    active = np.sort([rng.choice(n, size=size, replace=False) for _ in range(b)], axis=1)
+    config = PropagationConfig(tolerance, budget, StrandedPolicy.UNIFORM_TO_ACTIVE)
+
+    def absorb(trials):
+        src = np.concatenate([nets[i].edge_source + j * n for j, i in enumerate(trials)])
+        tgt = np.concatenate([nets[i].edge_target + j * n for j, i in enumerate(trials)])
+        norm = np.concatenate([nets[i].normalized_trust for i in trials])
+        ids = active[trials] + n * np.arange(len(trials))[:, None]
+        stranded = ~delegation._reach(src, tgt, norm, ids.ravel(), len(trials) * n)
+        try:
+            return delegation._absorb(n, src, tgt, norm, active[trials],
+                                      stranded.reshape(len(trials), n), config.stranded_policy,
+                                      config)
+        except NoConvergenceError:
+            return None
+
+    batch, singles = absorb(list(range(b))), [absorb([i]) for i in range(b)]
+    if batch is None:
+        assert None in singles
+        return
+    for i, single in enumerate(singles):
+        assert [part[i].tobytes() for part in batch] == [part[0].tobytes() for part in single]
 
 
 def test_propagation_config_validation():
