@@ -125,22 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DelegationError as exc:
-        _report_error(exc)
-        return 3
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        _report_error(exc)
-        return 2
-
-
-def _report_error(exc: Exception) -> None:
-    if hasattr(exc, "trial"):  # raised by a simulate trial
-        print("error: failed at active size {}, trial {}, master seed {}".format(*exc.trial),
-              file=sys.stderr)
-    print(f"error: {exc}", file=sys.stderr)
+    except (DelegationError, MemoryError, ValueError) as exc:
+        if hasattr(exc, "trial"):  # raised by a simulate trial
+            print("error: failed at active size {}, trial {}, master seed {}".format(*exc.trial),
+                  file=sys.stderr)
+        kind = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
+        return 3 if isinstance(exc, DelegationError) else 2
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -30,6 +30,8 @@ from .network import ActiveSet, TrustNetwork
 
 #: bound on |sum of weights - n| that a weight vector must meet
 CONSERVATION_TOL = 1e-6
+#: byte limit of the exact solve's stacked T x T blocks; one larger block raises MemoryError
+EXACT_BLOCK_BYTES = 2**30
 
 
 class DelegationError(Exception):
@@ -150,12 +152,14 @@ def compute_weights_exact(
     With Q the transient-to-transient and R the transient-to-active
     blocks of the normalized trust matrix, the absorption probabilities
     X solve (I - Q) X = R, and the weight of active node a is
-    ``1 + sum_t X[t, a]`` plus any stranded mass assigned by policy.
-    After stranded nodes are removed every transient node reaches an
-    absorber, so I - Q is nonsingular; a singular report, or a solution
-    whose absorbed mass misses the transient count by more than
+    ``1 + sum_t X[t, a] = 1 + sum_t y[t] R[t, a]`` (y solving the adjoint
+    (I - Q)^T y = 1) plus any stranded mass assigned by policy.  After
+    stranded nodes are removed every transient node reaches an absorber,
+    so I - Q is nonsingular; a singular report, or a solution whose
+    absorbed mass misses the transient count by more than
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
-    :class:`SingularSystemError`.
+    :class:`SingularSystemError`.  A T x T block over ``EXACT_BLOCK_BYTES``
+    (T > 11,585) raises MemoryError before it is allocated.
     """
     return _weight_vector(network, active, stranded_policy)
 
@@ -203,10 +207,10 @@ def _absorb(
     is b*n + v in the edge arrays); ``active`` (B, A) holds each trial's
     sorted active ids and ``stranded`` (B, n) marks the nodes that reach
     none.  Given a sweep ``config``, all trials sweep their live edges
-    together; otherwise trials are grouped by transient count T and each
-    group's Q and R blocks take one stacked exact solve.  Returns (weights
-    (B, A), stranded mass (B,), sweeps used (B,)), the stranded mass split
-    evenly over the weights.
+    together; otherwise each group of equal transient count T takes one
+    stacked adjoint solve (in slices within ``EXACT_BLOCK_BYTES``), and one
+    bincount adds the flows.  Returns (weights (B, A), stranded mass (B,),
+    sweeps used (B,)), the stranded mass split evenly over the weights.
     """
     b, a = active.shape
     if policy is StrandedPolicy.REJECT and stranded.any():
@@ -255,36 +259,44 @@ def _absorb(
             residual = mobile.reshape(b, n).sum(axis=1)
             iterations += 1
     else:
-        row, col = position[src], position[tgt]
-        to_transient, to_active = transient[tgt], is_active[tgt]
+        # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units
+        # to t (Kemeny and Snell), so active a absorbs y[t] * w over edge t -> a;
+        # visits[trial, position of t] holds y[t]
+        visits, into_t = np.zeros((b, n)), transient[tgt]
         counts = np.flatnonzero(np.bincount(t_count))
         for t in counts[counts > 0]:
-            members = np.flatnonzero(t_count == t)
-            mine = t_count[trial] == t
-            g, r, c, v = np.searchsorted(members, trial[mine]), row[mine], col[mine], w[mine]
-            m_t, m_a = to_transient[mine], to_active[mine]
-            q = np.zeros((len(members), t, t))
-            q[g[m_t], r[m_t], c[m_t]] = v[m_t]
-            rr = np.zeros((len(members), t, a))
-            rr[g[m_a], r[m_a], c[m_a]] = v[m_a]
-            try:
-                x = np.linalg.solve(np.subtract(np.eye(t), q, out=q), rr)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
-            weights[members] += x.sum(axis=1)
-            # every transient unit is eventually absorbed or leaks into the
-            # stranded region, so the leak is the mass the solve left over
-            absorbed = x.sum(axis=(1, 2))
-            lost = t - absorbed
-            # written so that a NaN leak (a subnormal pivot) fails too
-            bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count[members] == 0)
-                                                  & (lost > CONSERVATION_TOL))
-            if bad.any():
-                raise SingularSystemError(
-                    f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} "
-                    f"of {t} transient units absorbed"
-                )
-            leaked[members] = np.maximum(0.0, lost)
+            if t * t * 8 > EXACT_BLOCK_BYTES:
+                raise MemoryError(f"the exact solve of {t} transient nodes needs over "
+                                  f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
+            # slices keep to the limit; stacking does not change a trial's bits
+            group, per_slice = np.flatnonzero(t_count == t), EXACT_BLOCK_BYTES // (t * t * 8)
+            for start in range(0, len(group), per_slice):
+                members = group[start:start + per_slice]
+                mine = into_t & (np.bincount(members, minlength=b) > 0)[trial]
+                qt = np.zeros((len(members), t, t))
+                qt[np.searchsorted(members, trial[mine]), position[tgt[mine]],
+                   position[src[mine]]] = w[mine]
+                try:
+                    y = np.linalg.solve(np.subtract(np.eye(t), qt, out=qt),
+                                        np.ones((len(members), t, 1)))
+                except np.linalg.LinAlgError as exc:
+                    raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
+                visits[members, :t] = y[..., 0]
+        into_a = is_active[tgt]
+        absorbed_by = np.bincount(trial[into_a] * a + position[tgt[into_a]], minlength=b * a,
+                                  weights=visits[trial[into_a], position[src[into_a]]] * w[into_a])
+        weights += absorbed_by.reshape(b, a)
+        # each transient unit ends absorbed or stranded, so the solve's leftover leaks
+        absorbed = absorbed_by.reshape(b, a).sum(axis=1)
+        lost = t_count - absorbed
+        # written so that a NaN leak (a subnormal pivot) fails too
+        bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count == 0) & (lost > CONSERVATION_TOL))
+        if bad.any():
+            raise SingularSystemError(
+                f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} "
+                f"of {t_count[bad.argmax()]} transient units absorbed"
+            )
+        leaked = np.maximum(0.0, lost)
     # with no stranded region nothing can leak, so any leak is fp residue
     mass = np.where(stranded_count > 0, stranded_count + leaked, 0.0)
     weights += (mass / a)[:, None]

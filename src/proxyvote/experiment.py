@@ -11,12 +11,12 @@ trial index), so results are identical no matter how trials are ordered
 or distributed across worker processes.
 
 One kernel runs every trial, ``_BATCH`` (8) trials of one size per pass.
-Each trial draws from its own stream as a lone trial would; its O(n^2)
-score matrix stays per trial, since stacking them saves no time and only
-adds memory.  The rest runs on arrays with a leading trial axis: the
-trials form one graph of disjoint copies for reachability, and trials
-with equal transient count T share one stacked (G, T, T) solve.  Each
-trial's bits are those of the trial run alone.
+Each trial draws from its own stream as a lone trial would: its opinions,
+its O(n * k) target picks, then its active set.  The rest runs on arrays
+with a leading trial axis: the picks of the pass become targets in one
+go, the trials form one graph of disjoint copies for reachability, and
+trials with equal transient count T share one stacked (G, T, T) solve.
+Each trial's bits are those of the trial run alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .decisions import _decide, decision_error
 from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
-from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
+from .network import TrustNetwork, _draw_targets, _shares, _targets, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
 _BATCH = 8
@@ -161,7 +161,7 @@ def _trial_block(
         hi = min(lo + _BATCH, stop)
         try:
             triples += _kernel(config, network, size, lo, hi)
-        except (DelegationError, ValueError) as exc:
+        except (DelegationError, ValueError, MemoryError) as exc:
             if hi - lo == 1:
                 exc.trial = (size, lo, config.master_seed)
                 raise
@@ -186,9 +186,9 @@ def _kernel(
     active = np.sort(active, axis=1)
     offset = np.arange(0, b * n, n)[:, None]
     if network is None:
-        opinions, targets = map(np.array, zip(*drawn))
+        opinions, picks = map(np.array, zip(*drawn))
         src = (np.repeat(np.arange(n), config.k) + offset).ravel()
-        tgt = (targets + offset).ravel()
+        tgt = (_targets(picks).reshape(b, -1) + offset).ravel()
         norm = _shares(src, trust_value(opinions.ravel()[src], opinions.ravel()[tgt]), b * n)
     else:
         opinions = np.broadcast_to(network.opinions, (b, n))

@@ -175,25 +175,34 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
 
     Opinions are drawn uniformly from [0, 1); each edge's raw trust is
     the opinion similarity of its endpoints (:func:`trust_value`).
+    Targets take O(n * k) time and memory (:func:`_draw_targets`).
     """
     if n < 2:
         raise ValueError(f"invalid configuration: need n >= 2, got n={n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"invalid configuration: need 1 <= k <= n-1, got k={k}, n={n}")
-    opinions, tgt = _draw_targets(n, k, rng)
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    opinions, picks = _draw_targets(n, k, rng)
+    src, tgt = np.repeat(np.arange(n, dtype=np.int64), k), _targets(picks).reshape(-1)
     # opinions lie in [0, 1), so every raw trust is positive and no node dangles
     return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
 
 
 def _draw_targets(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Opinions and the k out-targets of every node, drawn from ``rng``;
-    targets ascend per node, so edges from ``np.repeat(np.arange(n), k)`` are canonical."""
-    opinions = rng.random(n)
-    # k smallest of n-1 iid uniforms per row = uniform k-subset of the others
-    scores = rng.random((n, n - 1))
-    cols = np.sort(np.argpartition(scores, k - 1, axis=1)[:, :k], axis=1)
-    return opinions, (cols + (cols >= np.arange(n)[:, None])).reshape(-1)
+    """Opinions and the (n, k) picks of Floyd's sampling (Bentley and Floyd,
+    CACM 1987): pick i of a row is uniform on 0 .. n-1-k+i."""
+    return rng.random(n), rng.integers(0, np.arange(n - k, n), size=(n, k))
+
+
+def _targets(picks: np.ndarray) -> np.ndarray:
+    """Targets of (..., n, k) Floyd picks, in place: pick i repeating an earlier
+    one becomes n-1-k+i, which none can be, so a row is a uniform k-subset of
+    0 .. n-2; sorted and shifted past their node, rows give canonical edges."""
+    n, k = picks.shape[-2:]
+    for i in range(1, k):
+        repeat = (picks[..., :i] == picks[..., i:i + 1]).any(axis=-1)
+        picks[..., i][repeat] = n - 1 - k + i
+    cols = np.sort(picks, axis=-1)
+    return cols + (cols >= np.arange(n)[:, None])
 
 
 def validate_network(network: TrustNetwork) -> list[str]:

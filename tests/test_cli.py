@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from proxyvote import TrustNetwork, delegation
 from proxyvote.cli import main
+from proxyvote.fileio import save_network
 
 
 def run_cli(*args):
@@ -143,6 +146,32 @@ def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "n.csv").exists()
 
 
+def test_exact_weights_over_block_limit_exit_2(tmp_path, capsys):
+    # a 12,000-node chain into its last node needs an 11999 x 11999 block
+    n = 12_000
+    net = TrustNetwork([0.5] * n, np.arange(n - 1), np.arange(1, n), [0.5] * (n - 1))
+    nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
+    save_network(net, nodes, edges)
+    code = run_cli("weights", "--nodes", str(nodes), "--edges", str(edges),
+                   "--active", str(n - 1), "--exact")
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]  # after the dangling-node warning
+    assert last.startswith("error: out of memory: the exact solve of 11999 transient nodes")
+    assert last.endswith("use the iterative solver")
+
+
+def test_simulate_exact_block_limit_names_its_trial(monkeypatch, capsys):
+    # with no room for any T x T block the first trial's exact solve refuses
+    monkeypatch.setattr(delegation, "EXACT_BLOCK_BYTES", 8)
+    assert run_cli("simulate", "--n", "20", "--k", "2", "--trials", "10", "--sizes", "2,5",
+                   "--seed", "3") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: failed at active size 2, trial 0, master seed 3"
+    assert lines[1].startswith("error: out of memory: the exact solve of ")
+    assert lines[1].endswith("use the iterative solver")
+    assert len(lines) == 2
+
+
 def test_exit_code_stranded_and_no_convergence(fixtures_dir, tmp_path, capsys):
     nodes = str(fixtures_dir / "stranded_pair" / "nodes.csv")
     edges = str(fixtures_dir / "stranded_pair" / "edges.csv")
@@ -253,7 +282,7 @@ def test_simulate_rejects_bad_parameters(capsys):
 
 def test_simulate_stranded_error_same_across_workers(capsys):
     args = ("simulate", "--n", "20", "--k", "1", "--trials", "50", "--sizes", "2",
-            "--stranded-policy", "reject")
+            "--seed", "343429", "--stranded-policy", "reject")
     assert run_cli(*args, "--workers", "1") == 3
     serial = capsys.readouterr().err
     assert serial.endswith("no path to any active node: [5, 7, 17]\n")
@@ -263,11 +292,11 @@ def test_simulate_stranded_error_same_across_workers(capsys):
 
 def test_simulate_error_names_its_trial(capsys):
     args = ("simulate", "--n", "30", "--k", "2", "--trials", "40", "--sizes", "2,10",
-            "--seed", "4", "--stranded-policy", "reject")
+            "--seed", "46", "--stranded-policy", "reject")
     assert run_cli(*args) == 3
     serial = capsys.readouterr().err
     lines = serial.splitlines()
-    assert lines[0] == "error: failed at active size 2, trial 13, master seed 4"
+    assert lines[0] == "error: failed at active size 2, trial 13, master seed 46"
     assert lines[1].startswith("error: trust stranded at nodes with no path")
     assert len(lines) == 2
     assert run_cli(*args, "--workers", "2") == 3
@@ -280,14 +309,14 @@ def test_simulate_output_digest_is_pinned(tmp_path):
     assert run_cli("simulate", "--n", "100", "--k", "3", "--trials", "300",
                    "--sizes", "2,5,10", "--seed", "77", "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c15fc6618751a845a69dbd2039dba9a8e3072db2867d0a2ca8f7a998c49d3e6d"
+        "4c67166d44a0e2f722779d580f4192b35f00ca1c11a92f6f016d01335791cf1e"
     )
     # a pool, three sizes and a trial count that does not split evenly into blocks
     assert run_cli("simulate", "--n", "100", "--k", "3", "--trials", "301",
                    "--sizes", "2,5,100", "--seed", "5", "--workers", "2",
                    "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "34072b9db71559027f4a5291123821f5baa3ed8bba942636f39b0ffdb5358e57"
+        "72ed2473cc25d1d1c1abc7af721633c84adefcd10666c87a72e7e21ab5fec950"
     )
     # the iterative solver (size 2 is left out: seed 77 runs out of sweeps there)
     cfg = tmp_path / "iterative.cfg"
@@ -295,7 +324,7 @@ def test_simulate_output_digest_is_pinned(tmp_path):
     assert run_cli("simulate", "--config", str(cfg), "--n", "100", "--k", "3", "--trials", "300",
                    "--sizes", "5,10,50", "--seed", "77", "--output", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "2fd0d8cfaf54794f65a64128e6d6a867b2ba444f4c7d9493a15ada7f7a317bb9"
+        "7bdce120cffb8bc5ff9627eb493bd2a96aab7a3c80f9fc985a902c946e40efa6"
     )
 
 

@@ -181,10 +181,30 @@ def test_exact_near_closed_cycle_conserves_or_raises(eps, conserved):
 
 def test_exact_subnormal_cycle_raises_instead_of_nan():
     # 0 <-> 1 leak a subnormal share to the representative 2, and 3 feeds
-    # 0 a subnormal share; the solve's subnormal pivot yields NaN weights
+    # 0 a subnormal share; the adjoint solve meets an exactly zero pivot
     net = _net([0.5] * 4, [(0, 1, 1.0), (0, 2, 1e-310), (1, 0, 1.0), (3, 0, 1e-309), (3, 2, 1.0)])
-    with pytest.raises(SingularSystemError, match="nan of 3 transient units"):
+    with pytest.raises(SingularSystemError, match="absorption system reported singular"):
         compute_weights_exact(net, ActiveSet([2]))
+
+
+def test_exact_refuses_dense_blocks_over_the_limit():
+    # a 12,000-node chain into its last node has T = 11999, and one dense
+    # T x T block would take 1.07 GiB: the exact solve refuses before it
+    # allocates, and the edge sweeps still solve the network
+    n = 12_000
+    net = _net([0.5] * n, [(i, i + 1, 0.5) for i in range(n - 1)])
+    active = ActiveSet([n - 1])
+    assert 11999 ** 2 * 8 > delegation.EXACT_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="11999 transient nodes.*use the iterative solver"):
+            compute_weights_exact(net, active)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    vector = compute_weights_iterative(net, active)
+    assert vector.weights[n - 1] == pytest.approx(n, abs=1e-6)
 
 
 def test_reachability_long_chain():

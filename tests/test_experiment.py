@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyvote import (
+    ActiveSet,
     DelegationError,
     ExperimentConfig,
     NoConvergenceError,
@@ -19,10 +20,13 @@ from proxyvote import (
     StrandedTrustError,
     TrustNetwork,
     analytic_traditional_error,
+    compute_weights_exact,
+    decision_report,
+    generate_network,
     run_experiment,
     run_trial,
 )
-from proxyvote import experiment
+from proxyvote import delegation, experiment
 from conftest import four_node_network
 
 UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
@@ -272,18 +276,55 @@ def test_batched_block_matches_blocks_of_one(data):
     assert excinfo.value.trial == first_error.trial == (size, len(singles), config.master_seed)
 
 
+@pytest.mark.parametrize("fresh", [True, False])
+def test_kernel_matches_the_public_calls(fresh):
+    # the kernel draws each trial's network in two steps and solves trials
+    # in passes; a trial still gets, bit for bit, what the public calls give
+    # on its stream: generate_network, rng.choice, the exact solve, the report
+    config = ExperimentConfig(n=40, k=2, trials=12, active_sizes=(1, 3, 10, 40), master_seed=9,
+                              propagation=UNIFORM, fresh_network_per_trial=fresh)
+    shared = None if fresh else experiment._shared_network(config)
+    for size in config.active_sizes:
+        replica = []
+        for i in range(config.trials):
+            rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, size, i]))
+            network = generate_network(config.n, config.k, rng) if fresh else shared
+            active = ActiveSet(rng.choice(config.n, size=size, replace=False))
+            weights = compute_weights_exact(network, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
+            report = decision_report(network, active, weights)
+            replica.append((report.error_traditional, report.error_weighted,
+                            weights.stranded_mass > 0.0))
+        assert [run_trial(config, size, i) for i in range(config.trials)] == replica
+        assert experiment._trial_block(config, shared, (size, 0, config.trials)) == replica
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_exact_block_limit_is_per_trial(monkeypatch, fresh):
+    # room for two 30 x 30 blocks: groups of equal transient count are solved
+    # in slices of a few trials, so a run neither fails nor changes bits with
+    # the number of trials that share a pass (the worker count sets that)
+    monkeypatch.setattr(delegation, "EXACT_BLOCK_BYTES", 2 * 30 * 30 * 8)
+    config = ExperimentConfig(n=32, k=3, trials=32, active_sizes=(2, 5), master_seed=3,
+                              propagation=UNIFORM, fresh_network_per_trial=fresh)
+    shared = None if fresh else experiment._shared_network(config)
+    for size in config.active_sizes:
+        singles = [run_trial(config, size, i) for i in range(config.trials)]
+        assert experiment._trial_block(config, shared, (size, 0, config.trials)) == singles
+    assert run_experiment(config, workers=2).rows == run_experiment(config, workers=1).rows
+
+
 def test_block_raises_lowest_index_failing_trial():
     # trial 1 runs out of sweeps and trial 3 strands trust: a pass that ran
     # the reject check of all its trials before solving would raise trial 3's
     config = ExperimentConfig(
-        n=12, k=1, trials=8, active_sizes=(3,), master_seed=212, solver="iterative",
+        n=12, k=1, trials=8, active_sizes=(3,), master_seed=61, solver="iterative",
         propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT, max_iterations=2),
     )
     with pytest.raises(StrandedTrustError):
         run_trial(config, 3, 3)
     with pytest.raises(NoConvergenceError) as excinfo:
         run_experiment(config)
-    assert excinfo.value.trial == (3, 1, 212)
+    assert excinfo.value.trial == (3, 1, 61)
 
 
 def test_run_experiment_leaves_numpy_ma_unimported():

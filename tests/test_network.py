@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,11 +74,41 @@ def test_generate_shape_and_degrees():
 
 
 def test_generate_complete_when_k_is_n_minus_1():
-    net = generate_network(4, 3, np.random.default_rng(0))
-    for node in range(4):
-        assert sorted(net.edge_target[net.edge_source == node].tolist()) == sorted(
-            set(range(4)) - {node}
-        )
+    for n in range(2, 9):
+        net = generate_network(n, n - 1, np.random.default_rng(n))
+        for node in range(n):
+            assert sorted(net.edge_target[net.edge_source == node].tolist()) == sorted(
+                set(range(n)) - {node}
+            )
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2)])
+def test_generate_targets_are_uniform_k_subsets(n, k):
+    # each node's targets are a uniform k-subset of the other n-1 nodes; a
+    # fix-up of repeated picks that keeps the degrees right can still bias
+    # it.  Each (node, subset) cell expects 400 draws; 100 is five sigma
+    rng = np.random.default_rng(17)
+    subsets = math.comb(n - 1, k)
+    networks = 400 * subsets
+    targets = np.stack([generate_network(n, k, rng).edge_target for _ in range(networks)])
+    codes = (1 << targets.reshape(networks, n, k)).sum(axis=2) + np.arange(n) * (1 << n)
+    counts = np.bincount(codes.ravel(), minlength=n << n)
+    counts = counts[counts > 0]
+    assert len(counts) == n * subsets
+    assert np.all(np.abs(counts - 400) < 100), (counts.min(), counts.max())
+
+
+def test_generate_memory_is_linear_in_edges():
+    # O(n * k) picks; an n x (n-1) score matrix alone would take 191 MiB
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        net = generate_network(5000, 3, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.edge_count == 15_000
+    assert peak < 8 * 2**20
 
 
 def test_generate_rejects_bad_configuration():
