@@ -25,7 +25,7 @@ from .delegation import (
     compute_weights_iterative,
 )
 from .decisions import decision_report
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import SOLVERS, ExperimentConfig, run_experiment
 from .network import ActiveSet, generate_network
 
 _POLICIES = [policy.value for policy in StrandedPolicy]
@@ -99,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--tolerance", type=float, default=None)
     sim.add_argument("--max-iterations", type=int, default=None)
     sim.add_argument("--stranded-policy", choices=_POLICIES, default=None)
+    sim.add_argument("--solver", choices=SOLVERS, default=None,
+                     help=f"weight solver (default {_EXPERIMENT.solver})")
     sim.add_argument("--fixed-network", action="store_true", default=None,
                      help="generate one network and reuse it for every trial")
     sim.add_argument("--nodes", help="use this fixed network instead of generating")
@@ -250,7 +252,7 @@ def _cmd_simulate(args) -> int:
                        _EXPERIMENT.propagation.stranded_policy.value)
     if policy_name not in _POLICIES:
         raise ValueError(f"unknown stranded policy {policy_name!r}")
-    solver = values.get("solver", _EXPERIMENT.solver)
+    solver = pick(args.solver, "solver", str, _EXPERIMENT.solver)
     fixed = injected or bool(pick(args.fixed_network, "fixed-network", _parse_bool,
                                   not _EXPERIMENT.fresh_network_per_trial))
     workers = pick(args.workers, "workers", int, 1)
@@ -272,7 +274,7 @@ def _cmd_simulate(args) -> int:
         solver=solver,
     )
     result = run_experiment(config, network=network, workers=workers)
-    _emit(fileio.format_results(result), args.output)
+    _emit(fileio.format_results(result, echo_k=not injected), args.output)
     return 0
 
 

@@ -10,13 +10,14 @@ Every trial derives its own RNG stream from (master seed, active size,
 trial index), so results are identical no matter how trials are ordered
 or distributed across worker processes.
 
-One kernel runs every trial, ``_BATCH`` (8) trials of one size per pass.
-Each trial draws from its own stream as a lone trial would: its opinions,
-its O(n * k) target picks, then its active set.  The rest runs on arrays
-with a leading trial axis: the picks of the pass become targets in one
-go, the trials form one graph of disjoint copies for reachability, and
-trials with equal transient count T share one stacked (G, T, T) solve.
-Each trial's bits are those of the trial run alone.
+One kernel runs every trial, in passes of one size's trials sized by
+``_pass_trials``.  Each trial draws from its own stream as a lone trial
+would: its opinions, its O(n * k) target picks, then its active set.  The
+rest runs on arrays with a leading trial axis: the picks of the pass
+become targets in one go, the trials form one graph of disjoint copies
+for reachability, and trials with equal transient count T share one
+stacked (G, T, T) solve.  Each trial's bits are those of the trial run
+alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _abs
 from .network import TrustNetwork, _draw_targets, _shares, _targets, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
-_BATCH = 8
+#: byte budget of one kernel pass (README, "Performance notes", says why 1 MiB)
+_PASS_BYTES = 2**20
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:
@@ -156,9 +158,9 @@ def _trial_block(
     a trial at a time, so the lowest-index failing trial's error is raised,
     with ``trial`` set to (active size, trial index, master seed)."""
     size, start, stop = block
-    triples = []
-    for lo in range(start, stop, _BATCH):
-        hi = min(lo + _BATCH, stop)
+    triples, per_pass = [], _pass_trials(config.n, config.k, size)
+    for lo in range(start, stop, per_pass):
+        hi = min(lo + per_pass, stop)
         try:
             triples += _kernel(config, network, size, lo, hi)
         except (DelegationError, ValueError, MemoryError) as exc:
@@ -169,6 +171,13 @@ def _trial_block(
                 _trial_block(config, network, (size, i, i + 1))
             raise
     return triples
+
+
+def _pass_trials(n: int, k: int, size: int) -> int:
+    """Trials per kernel pass: as many as fit ``_PASS_BYTES`` at a trial's
+    worst-case dense T x T block (T <= n - size) plus 64 bytes per edge of
+    its edge arrays.  It depends on the shape alone, never on a draw."""
+    return max(1, _PASS_BYTES // (8 * (n - size) ** 2 + 64 * n * k))
 
 
 def _kernel(
@@ -211,11 +220,12 @@ def run_experiment(
     """Run all trials for every active size and aggregate per-size stats.
 
     Trials are cut into (size, start, stop) blocks.  With ``workers`` = 1
-    the blocks run in this process; with more they run on one pool of
-    that many processes (at most ``os.cpu_count()``).  Blocks come back
-    in submission order and trials are seeded by index, so the aggregate
-    is identical for any worker count.  The first failing block's error
-    is raised and blocks not yet started are cancelled.
+    each size is one block, run in this process; with more, each size is
+    cut into 4 blocks per worker, run on one pool of that many processes
+    (at most ``os.cpu_count()``).  Blocks come back in submission order
+    and trials are seeded by index, so the aggregate is identical for any
+    worker count.  The first failing block's error is raised and blocks
+    not yet started are cancelled.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -229,7 +239,7 @@ def run_experiment(
         network = _shared_network(config)
 
     sizes = sorted(config.active_sizes)
-    chunk = max(1, -(-config.trials // (workers * 4)))
+    chunk = config.trials if workers == 1 else max(1, -(-config.trials // (workers * 4)))
     blocks = [
         (size, start, min(start + chunk, config.trials))
         for size in sizes

@@ -258,6 +258,21 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_solver_flag_overrides_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("solver=iterative\n")
+    base = ("simulate", "--n", "16", "--k", "2", "--trials", "10", "--sizes", "4", "--seed", "3")
+    assert run_cli(*base, "--config", str(cfg)) == 0
+    assert _read_results(capsys.readouterr().out)[1]["solver"] == "iterative"
+    assert run_cli(*base, "--config", str(cfg), "--solver", "exact") == 0
+    flagged = capsys.readouterr().out
+    assert _read_results(flagged)[1]["solver"] == "exact"
+    assert run_cli(*base) == 0
+    assert capsys.readouterr().out == flagged  # exact is the default
+    assert run_cli(*base, "--solver", "magic") == 1
+    capsys.readouterr()
+
+
 def _read_results(text):
     meta = {}
     rows = []
@@ -334,6 +349,7 @@ def test_simulate_with_injected_network(four_node_paths, capsys):
                    "--trials", "25", "--sizes", "2,4", "--seed", "6") == 0
     rows, meta = _read_results(capsys.readouterr().out)
     assert meta["fresh-network"] == "false"
+    assert "k" not in meta  # a network read from files has no single out-degree k
     assert [r[0] for r in rows] == ["2", "4"]
     assert float(rows[1][2]) == 0.0  # full participation row
     assert run_cli("simulate", "--nodes", nodes, "--edges", edges, "--n", "4") == 1

@@ -239,7 +239,7 @@ def test_experiment_config_validation():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_block_matches_blocks_of_one(data):
-    # one block of B trials, cut into kernel passes of at most _BATCH, must
+    # one block of B trials, cut into kernel passes of a budget's worth, must
     # give exactly the triples of B blocks of one, or raise the error of
     # the lowest-index failing trial
     n = data.draw(st.integers(2, 40), label="n")
@@ -259,19 +259,25 @@ def test_batched_block_matches_blocks_of_one(data):
     )
     trials = data.draw(st.sampled_from([1, 7, 8, 9, 17]), label="trials")
     size = config.active_sizes[0]
+    # a budget of per_pass trials' worst-case bytes, so passes split mid-block
+    per_pass = data.draw(st.sampled_from([1, 2, 3, 8]), label="per_pass")
+    budget = per_pass * (8 * (n - size) ** 2 + 64 * n * config.k)
     network = None if config.fresh_network_per_trial else experiment._shared_network(config)
-    singles, first_error = [], None
-    for i in range(trials):
-        try:
-            singles += experiment._trial_block(config, network, (size, i, i + 1))
-        except (DelegationError, ValueError) as exc:
-            first_error = exc
-            break
-    if first_error is None:
-        assert experiment._trial_block(config, network, (size, 0, trials)) == singles
-        return
-    with pytest.raises(type(first_error)) as excinfo:
-        experiment._trial_block(config, network, (size, 0, trials))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_PASS_BYTES", budget)
+        assert experiment._pass_trials(n, config.k, size) == per_pass
+        singles, first_error = [], None
+        for i in range(trials):
+            try:
+                singles += experiment._trial_block(config, network, (size, i, i + 1))
+            except (DelegationError, ValueError) as exc:
+                first_error = exc
+                break
+        if first_error is None:
+            assert experiment._trial_block(config, network, (size, 0, trials)) == singles
+            return
+        with pytest.raises(type(first_error)) as excinfo:
+            experiment._trial_block(config, network, (size, 0, trials))
     assert str(excinfo.value) == str(first_error)
     assert excinfo.value.trial == first_error.trial == (size, len(singles), config.master_seed)
 
@@ -311,6 +317,26 @@ def test_exact_block_limit_is_per_trial(monkeypatch, fresh):
         singles = [run_trial(config, size, i) for i in range(config.trials)]
         assert experiment._trial_block(config, shared, (size, 0, config.trials)) == singles
     assert run_experiment(config, workers=2).rows == run_experiment(config, workers=1).rows
+
+
+def test_pass_size_keeps_rows(monkeypatch):
+    # passes of one trial against the default budget's one pass per size
+    # (n=30 trials cost 12 KB, so the 40 trials of a size fit one pass)
+    for solver in experiment.SOLVERS:
+        config = ExperimentConfig(n=30, k=3, trials=40, active_sizes=(2, 5, 30), master_seed=8,
+                                  propagation=UNIFORM, solver=solver)
+        default = run_experiment(config).rows
+        monkeypatch.setattr(experiment, "_PASS_BYTES", 0)
+        assert run_experiment(config).rows == default
+        monkeypatch.undo()
+
+
+def test_pass_size_by_bytes():
+    # passes grow as the dense block shrinks with the active size; at
+    # n=2000 one trial's dense block alone passes the budget
+    assert [experiment._pass_trials(100, 3, s) for s in (2, 5, 10, 20, 50, 100)] == [
+        10, 11, 12, 14, 26, 54]
+    assert experiment._pass_trials(2000, 3, 2) == 1
 
 
 def test_block_raises_lowest_index_failing_trial():
