@@ -241,7 +241,7 @@ def _cmd_simulate(args) -> int:
 
     network = _load(args.nodes, args.edges) if injected else None
     n = network.n if injected else pick(args.n, "n", int, _EXPERIMENT.n)
-    k = min(_EXPERIMENT.k, n - 1) if injected else pick(args.k, "k", int, _EXPERIMENT.k)
+    k = None if injected else pick(args.k, "k", int, _EXPERIMENT.k)
     sizes = pick(args.sizes, "sizes", str, None)
     if sizes is None:
         # default grid capped to the population: sizes below n, then n itself
@@ -274,7 +274,7 @@ def _cmd_simulate(args) -> int:
         solver=solver,
     )
     result = run_experiment(config, network=network, workers=workers)
-    _emit(fileio.format_results(result, echo_k=not injected), args.output)
+    _emit(fileio.format_results(result), args.output)
     return 0
 
 

@@ -30,7 +30,7 @@ from .network import ActiveSet, TrustNetwork
 
 #: bound on |sum of weights - n| that a weight vector must meet
 CONSERVATION_TOL = 1e-6
-#: byte limit of the exact solve's stacked T x T blocks; one larger block raises MemoryError
+#: byte limit of one trial's T x T block in the exact solve; a larger one raises MemoryError
 EXACT_BLOCK_BYTES = 2**30
 
 
@@ -168,12 +168,13 @@ def _weight_vector(
     network: TrustNetwork, active: ActiveSet, policy: StrandedPolicy,
     config: PropagationConfig | None = None,
 ) -> WeightVector:
-    """:func:`_absorb` on a batch of one; ``config`` None selects the exact solve."""
-    stranded = np.zeros((1, network.n), dtype=bool)
-    stranded[0, reachability_partition(network, active).stranded] = True
+    """:func:`_absorb` on a batch of one; ``config`` None selects the exact solve.
+    The partition validates ``active`` and is the solve's traced search step
+    (``bench/traced.py``); ``_absorb`` repeats it, O(D * E) beside the solve."""
+    reachability_partition(network, active)
     weights, mass, sweeps = _absorb(
         network.n, network.edge_source, network.edge_target, network.normalized_trust,
-        active.ids[None], stranded, policy, config,
+        active.ids[None], policy, config,
     )
     return WeightVector(dict(zip(active.ids.tolist(), weights[0].tolist())), float(mass[0]),
                         None if config is None else int(sweeps[0]))
@@ -201,24 +202,26 @@ def _reach(src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarra
 
 def _absorb(
     n: int, src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarray,
-    stranded: np.ndarray, policy: StrandedPolicy, config: PropagationConfig | None = None,
+    policy: StrandedPolicy, config: PropagationConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delegation weights of B trials of n nodes each (node v of trial b
     is b*n + v in the edge arrays); ``active`` (B, A) holds each trial's
-    sorted active ids and ``stranded`` (B, n) marks the nodes that reach
-    none.  Given a sweep ``config``, all trials sweep their live edges
-    together; otherwise each group of equal transient count T takes one
-    stacked adjoint solve (in slices within ``EXACT_BLOCK_BYTES``), and one
-    bincount adds the flows.  Returns (weights (B, A), stranded mass (B,),
-    sweeps used (B,)), the stranded mass split evenly over the weights.
+    sorted active ids.  One reverse search over the whole pass finds the
+    nodes that reach no active node, whose trust ``policy`` rejects or
+    splits evenly over the weights.  Given a sweep ``config``, all trials
+    sweep their live edges together; otherwise each group of equal
+    transient count T takes one stacked adjoint solve, and one bincount
+    adds the flows.  Returns (weights (B, A), stranded mass (B,), sweeps
+    used (B,)).
     """
     b, a = active.shape
-    if policy is StrandedPolicy.REJECT and stranded.any():
-        raise StrandedTrustError(np.flatnonzero(stranded[stranded.any(axis=1).argmax()]).tolist())
     rows = np.arange(b)[:, None]
+    reached = _reach(src, tgt, norm, (active + rows * n).ravel(), b * n).reshape(b, n)
+    if policy is StrandedPolicy.REJECT and not reached.all():
+        raise StrandedTrustError(np.flatnonzero(~reached[reached.all(axis=1).argmin()]).tolist())
     is_active = np.zeros((b, n), dtype=bool)
     is_active[rows, active] = True
-    transient = ~(stranded | is_active)
+    transient = reached & ~is_active
     t_count = np.count_nonzero(transient, axis=1)
     position = np.cumsum(transient, axis=1) - 1
     position[rows, active] = np.arange(a)
@@ -268,20 +271,17 @@ def _absorb(
             if t * t * 8 > EXACT_BLOCK_BYTES:
                 raise MemoryError(f"the exact solve of {t} transient nodes needs over "
                                   f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
-            # slices keep to the limit; stacking does not change a trial's bits
-            group, per_slice = np.flatnonzero(t_count == t), EXACT_BLOCK_BYTES // (t * t * 8)
-            for start in range(0, len(group), per_slice):
-                members = group[start:start + per_slice]
-                mine = into_t & (np.bincount(members, minlength=b) > 0)[trial]
-                qt = np.zeros((len(members), t, t))
-                qt[np.searchsorted(members, trial[mine]), position[tgt[mine]],
-                   position[src[mine]]] = w[mine]
-                try:
-                    y = np.linalg.solve(np.subtract(np.eye(t), qt, out=qt),
-                                        np.ones((len(members), t, 1)))
-                except np.linalg.LinAlgError as exc:
-                    raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
-                visits[members, :t] = y[..., 0]
+            # the guard is per trial: a caller batching trials keeps their stack small
+            group = np.flatnonzero(t_count == t)
+            mine = into_t & (t_count[trial] == t)
+            qt = np.zeros((len(group), t, t))
+            qt[np.searchsorted(group, trial[mine]), position[tgt[mine]],
+               position[src[mine]]] = w[mine]
+            try:
+                y = np.linalg.solve(np.subtract(np.eye(t), qt, out=qt), np.ones((len(group), t, 1)))
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
+            visits[group, :t] = y[..., 0]
         into_a = is_active[tgt]
         absorbed_by = np.bincount(trial[into_a] * a + position[tgt[into_a]], minlength=b * a,
                                   weights=visits[trial[into_a], position[src[into_a]]] * w[into_a])

@@ -14,10 +14,10 @@ One kernel runs every trial, in passes of one size's trials sized by
 ``_pass_trials``.  Each trial draws from its own stream as a lone trial
 would: its opinions, its O(n * k) target picks, then its active set.  The
 rest runs on arrays with a leading trial axis: the picks of the pass
-become targets in one go, the trials form one graph of disjoint copies
-for reachability, and trials with equal transient count T share one
-stacked (G, T, T) solve.  Each trial's bits are those of the trial run
-alone.
+become targets in one go, and ``_absorb`` searches and solves the pass as
+one graph of disjoint copies, trials with equal transient count T sharing
+one stacked (G, T, T) solve.  Each trial's bits are those of the trial
+run alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .decisions import _decide, decision_error
-from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
+from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb
 from .network import TrustNetwork, _draw_targets, _shares, _targets, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
@@ -65,7 +65,8 @@ class ExperimentConfig:
     """Parameters of one Monte Carlo experiment."""
 
     n: int = 100
-    k: int = 3
+    #: out-degree of drawn networks; None only for runs on an injected network
+    k: int | None = 3
     trials: int = 10_000
     active_sizes: tuple[int, ...] = (2, 5, 10, 20, 50, 100)
     master_seed: int = 0
@@ -79,7 +80,7 @@ class ExperimentConfig:
         object.__setattr__(self, "active_sizes", tuple(int(s) for s in self.active_sizes))
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if not 1 <= self.k <= self.n - 1:
+        if self.k is not None and not 1 <= self.k <= self.n - 1:
             raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
@@ -122,7 +123,19 @@ def _trial_rng(config: ExperimentConfig, active_size: int, trial_index: int) -> 
     return np.random.default_rng(seq)
 
 
-def _shared_network(config: ExperimentConfig) -> TrustNetwork:
+def _trial_network(config: ExperimentConfig, network: TrustNetwork | None) -> TrustNetwork | None:
+    """The network all trials share: ``network`` if injected, one drawn from
+    the master seed in fixed mode, None when each trial draws its own."""
+    if network is not None:
+        if config.fresh_network_per_trial:
+            raise ValueError("injected network requires fresh_network_per_trial=False")
+        if network.n != config.n:
+            raise ValueError(f"injected network has n={network.n}, config says n={config.n}")
+        return network
+    if config.k is None:
+        raise ValueError("k is needed to draw networks; leave it out only with an injected network")
+    if config.fresh_network_per_trial:
+        return None
     rng = np.random.default_rng(np.random.SeedSequence([config.master_seed]))
     return generate_network(config.n, config.k, rng)
 
@@ -137,47 +150,39 @@ def run_trial(
 
     The trial's randomness comes from a stream derived from
     (master_seed, active_size, trial_index) only.  ``network`` injects a
-    fixed network.
+    fixed network, as in :func:`run_experiment`.
     """
     if not 1 <= active_size <= config.n:
         raise ValueError(f"active_size {active_size} out of [1, {config.n}]")
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
-    if network is not None:
-        if network.n != config.n:
-            raise ValueError(f"injected network has n={network.n}, config says n={config.n}")
-    elif not config.fresh_network_per_trial:
-        network = _shared_network(config)
+    network = _trial_network(config, network)
     return _trial_block(config, network, (active_size, trial_index, trial_index + 1))[0]
 
 
 def _trial_block(
     config: ExperimentConfig, network: TrustNetwork | None, block: tuple[int, int, int]
 ) -> list[tuple[float, float, bool]]:
-    """Triples of trials start..stop-1 at one size.  A failing pass is re-run
-    a trial at a time, so the lowest-index failing trial's error is raised,
-    with ``trial`` set to (active size, trial index, master seed)."""
+    """Triples of trials start..stop-1 at one size, run as one kernel pass.  A
+    failing pass is re-run a trial at a time, so the lowest-index failing trial's
+    error is raised, with ``trial`` set to (active size, trial index, master seed)."""
     size, start, stop = block
-    triples, per_pass = [], _pass_trials(config.n, config.k, size)
-    for lo in range(start, stop, per_pass):
-        hi = min(lo + per_pass, stop)
-        try:
-            triples += _kernel(config, network, size, lo, hi)
-        except (DelegationError, ValueError, MemoryError) as exc:
-            if hi - lo == 1:
-                exc.trial = (size, lo, config.master_seed)
-                raise
-            for i in range(lo, hi):  # the lowest-index failing trial raises here
-                _trial_block(config, network, (size, i, i + 1))
+    try:
+        return _kernel(config, network, size, start, stop)
+    except (DelegationError, ValueError, MemoryError) as exc:
+        if stop - start == 1:
+            exc.trial = (size, start, config.master_seed)
             raise
-    return triples
+        for i in range(start, stop):  # the lowest-index failing trial raises here
+            _trial_block(config, network, (size, i, i + 1))
+        raise
 
 
-def _pass_trials(n: int, k: int, size: int) -> int:
+def _pass_trials(n: int, edges: int, size: int) -> int:
     """Trials per kernel pass: as many as fit ``_PASS_BYTES`` at a trial's
-    worst-case dense T x T block (T <= n - size) plus 64 bytes per edge of
-    its edge arrays.  It depends on the shape alone, never on a draw."""
-    return max(1, _PASS_BYTES // (8 * (n - size) ** 2 + 64 * n * k))
+    worst-case dense T x T block (T <= n - size) plus 64 bytes for each of
+    its ``edges``.  It depends on the shape alone, never on a draw."""
+    return max(1, _PASS_BYTES // (8 * (n - size) ** 2 + 64 * edges))
 
 
 def _kernel(
@@ -203,9 +208,8 @@ def _kernel(
         opinions = np.broadcast_to(network.opinions, (b, n))
         src, tgt = (network.edge_source + offset).ravel(), (network.edge_target + offset).ravel()
         norm = np.tile(network.normalized_trust, b)
-    stranded = ~_reach(src, tgt, norm, (active + offset).ravel(), b * n).reshape(b, n)
     sweeps = config.propagation if config.solver == "iterative" else None
-    weights, mass, _ = _absorb(n, src, tgt, norm, active, stranded,
+    weights, mass, _ = _absorb(n, src, tgt, norm, active,
                                config.propagation.stranded_policy, sweeps)
     outcome, expected, weighted = _decide(opinions, active, weights)
     err_t, err_w = decision_error(outcome, expected), decision_error(weighted, expected)
@@ -219,39 +223,33 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run all trials for every active size and aggregate per-size stats.
 
-    Trials are cut into (size, start, stop) blocks.  With ``workers`` = 1
-    each size is one block, run in this process; with more, each size is
-    cut into 4 blocks per worker, run on one pool of that many processes
-    (at most ``os.cpu_count()``).  Blocks come back in submission order
-    and trials are seeded by index, so the aggregate is identical for any
-    worker count.  The first failing block's error is raised and blocks
-    not yet started are cancelled.
+    Each size is cut into (size, start, stop) passes of ``_pass_trials``
+    trials.  With ``workers`` = 1 they run in this process; with more, on
+    one pool of that many processes (at most ``os.cpu_count()``), in
+    chunks of passes that make about 4 tasks per worker per size.  Passes
+    come back in submission order and trials are seeded by index, so the
+    aggregate is identical for any worker count.  The error of the first
+    failing trial (smallest size, then lowest index) is raised and the
+    passes not yet started are cancelled.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {workers}")
-    if network is not None:
-        if config.fresh_network_per_trial:
-            raise ValueError("injected network requires fresh_network_per_trial=False")
-        if network.n != config.n:
-            raise ValueError(f"injected network has n={network.n}, config says n={config.n}")
-    elif not config.fresh_network_per_trial:
-        network = _shared_network(config)
+    network = _trial_network(config, network)
+    edges = config.n * config.k if network is None else network.edge_count
 
     sizes = sorted(config.active_sizes)
-    chunk = config.trials if workers == 1 else max(1, -(-config.trials // (workers * 4)))
-    blocks = [
-        (size, start, min(start + chunk, config.trials))
-        for size in sizes
-        for start in range(0, config.trials, chunk)
-    ]
-    block_fn = partial(_trial_block, config, network)
+    per_pass = {size: _pass_trials(config.n, edges, size) for size in sizes}
+    passes = [(size, start, min(start + per_pass[size], config.trials))
+              for size in sizes for start in range(0, config.trials, per_pass[size])]
+    run_pass = partial(_trial_block, config, network)
     if workers == 1:
-        results = list(map(block_fn, blocks))
+        results = list(map(run_pass, passes))
     else:
+        chunk = -(-len(passes) // (4 * workers * len(sizes)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_fn, blocks))
-    triples = [triple for block in results for triple in block]
+            results = list(pool.map(run_pass, passes, chunksize=chunk))
+    triples = [triple for done in results for triple in done]
     err_t, err_w, stranded = (
         np.array(column).reshape(len(sizes), config.trials) for column in zip(*triples)
     )

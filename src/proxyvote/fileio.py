@@ -166,11 +166,11 @@ def format_report(report: DecisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_echo(config: ExperimentConfig, echo_k: bool) -> list[str]:
+def _config_echo(config: ExperimentConfig) -> list[str]:
     policy = config.propagation.stranded_policy.value
     return [
         f"# n={config.n}",
-        *([f"# k={config.k}"] if echo_k else []),
+        *([f"# k={config.k}"] if config.k is not None else []),
         f"# trials={config.trials}",
         f"# sizes={','.join(str(s) for s in sorted(config.active_sizes))}",
         f"# seed={config.master_seed}",
@@ -182,9 +182,9 @@ def _config_echo(config: ExperimentConfig, echo_k: bool) -> list[str]:
     ]
 
 
-def format_results(result: ExperimentResult, echo_k: bool = True) -> str:
-    """``echo_k`` False leaves out ``# k=``: a network read from files has none."""
-    lines = _config_echo(result.config, echo_k)
+def format_results(result: ExperimentResult) -> str:
+    """``# k=`` is echoed only when the config has a k: an injected network has none."""
+    lines = _config_echo(result.config)
     lines.append(RESULTS_HEADER)
     for row in result.rows:
         lines.append(

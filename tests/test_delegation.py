@@ -467,11 +467,8 @@ def test_iterative_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, b
         src = np.concatenate([nets[i].edge_source + j * n for j, i in enumerate(trials)])
         tgt = np.concatenate([nets[i].edge_target + j * n for j, i in enumerate(trials)])
         norm = np.concatenate([nets[i].normalized_trust for i in trials])
-        ids = active[trials] + n * np.arange(len(trials))[:, None]
-        stranded = ~delegation._reach(src, tgt, norm, ids.ravel(), len(trials) * n)
         try:
-            return delegation._absorb(n, src, tgt, norm, active[trials],
-                                      stranded.reshape(len(trials), n), config.stranded_policy,
+            return delegation._absorb(n, src, tgt, norm, active[trials], config.stranded_policy,
                                       config)
         except NoConvergenceError:
             return None

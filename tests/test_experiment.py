@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -112,6 +113,10 @@ def test_run_trial_rejects_bad_inputs():
         run_trial(config, 11, 0)
     with pytest.raises(ValueError):
         run_trial(config, 3, -1)
+    # an injected network needs fixed mode here as in run_experiment
+    fresh = ExperimentConfig(n=4, k=2, trials=1, active_sizes=(2,), master_seed=1)
+    with pytest.raises(ValueError, match="requires fresh_network_per_trial=False"):
+        run_trial(fresh, 2, 0, four_node_network())
 
 
 def test_run_trial_propagates_stranded_under_reject():
@@ -211,6 +216,16 @@ def test_run_experiment_injected_network_requires_fixed_mode():
     )
     with pytest.raises(ValueError):
         run_experiment(wrong_n, network=net)
+    # k may be left out only when no network has to be drawn
+    fixed = dict(n=4, trials=5, active_sizes=(2,), master_seed=1, fresh_network_per_trial=False)
+    assert run_experiment(ExperimentConfig(k=None, **fixed), network=net).rows == \
+        run_experiment(ExperimentConfig(k=3, **fixed), network=net).rows
+    fresh_no_k = ExperimentConfig(n=4, k=None, active_sizes=(2,))
+    for config in (ExperimentConfig(k=None, **fixed), fresh_no_k):
+        with pytest.raises(ValueError, match="k is needed to draw networks"):
+            run_experiment(config)
+        with pytest.raises(ValueError, match="k is needed to draw networks"):
+            run_trial(config, 2, 0)
 
 
 def test_experiment_config_validation():
@@ -239,9 +254,8 @@ def test_experiment_config_validation():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_block_matches_blocks_of_one(data):
-    # one block of B trials, cut into kernel passes of a budget's worth, must
-    # give exactly the triples of B blocks of one, or raise the error of
-    # the lowest-index failing trial
+    # one pass of B trials must give exactly the triples of B passes of
+    # one, or raise the error of the lowest-index failing trial
     n = data.draw(st.integers(2, 40), label="n")
     config = ExperimentConfig(
         n=n,
@@ -259,25 +273,19 @@ def test_batched_block_matches_blocks_of_one(data):
     )
     trials = data.draw(st.sampled_from([1, 7, 8, 9, 17]), label="trials")
     size = config.active_sizes[0]
-    # a budget of per_pass trials' worst-case bytes, so passes split mid-block
-    per_pass = data.draw(st.sampled_from([1, 2, 3, 8]), label="per_pass")
-    budget = per_pass * (8 * (n - size) ** 2 + 64 * n * config.k)
-    network = None if config.fresh_network_per_trial else experiment._shared_network(config)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(experiment, "_PASS_BYTES", budget)
-        assert experiment._pass_trials(n, config.k, size) == per_pass
-        singles, first_error = [], None
-        for i in range(trials):
-            try:
-                singles += experiment._trial_block(config, network, (size, i, i + 1))
-            except (DelegationError, ValueError) as exc:
-                first_error = exc
-                break
-        if first_error is None:
-            assert experiment._trial_block(config, network, (size, 0, trials)) == singles
-            return
-        with pytest.raises(type(first_error)) as excinfo:
-            experiment._trial_block(config, network, (size, 0, trials))
+    network = experiment._trial_network(config, None)
+    singles, first_error = [], None
+    for i in range(trials):
+        try:
+            singles += experiment._trial_block(config, network, (size, i, i + 1))
+        except (DelegationError, ValueError) as exc:
+            first_error = exc
+            break
+    if first_error is None:
+        assert experiment._trial_block(config, network, (size, 0, trials)) == singles
+        return
+    with pytest.raises(type(first_error)) as excinfo:
+        experiment._trial_block(config, network, (size, 0, trials))
     assert str(excinfo.value) == str(first_error)
     assert excinfo.value.trial == first_error.trial == (size, len(singles), config.master_seed)
 
@@ -289,7 +297,7 @@ def test_kernel_matches_the_public_calls(fresh):
     # on its stream: generate_network, rng.choice, the exact solve, the report
     config = ExperimentConfig(n=40, k=2, trials=12, active_sizes=(1, 3, 10, 40), master_seed=9,
                               propagation=UNIFORM, fresh_network_per_trial=fresh)
-    shared = None if fresh else experiment._shared_network(config)
+    shared = experiment._trial_network(config, None)
     for size in config.active_sizes:
         replica = []
         for i in range(config.trials):
@@ -306,13 +314,13 @@ def test_kernel_matches_the_public_calls(fresh):
 
 @pytest.mark.parametrize("fresh", [True, False])
 def test_exact_block_limit_is_per_trial(monkeypatch, fresh):
-    # room for two 30 x 30 blocks: groups of equal transient count are solved
-    # in slices of a few trials, so a run neither fails nor changes bits with
-    # the number of trials that share a pass (the worker count sets that)
+    # room for two 30 x 30 blocks, less than a pass of 32 trials stacks: the
+    # limit is on one trial's block, so a run neither fails nor changes bits
+    # with the number of trials that share a pass
     monkeypatch.setattr(delegation, "EXACT_BLOCK_BYTES", 2 * 30 * 30 * 8)
     config = ExperimentConfig(n=32, k=3, trials=32, active_sizes=(2, 5), master_seed=3,
                               propagation=UNIFORM, fresh_network_per_trial=fresh)
-    shared = None if fresh else experiment._shared_network(config)
+    shared = experiment._trial_network(config, None)
     for size in config.active_sizes:
         singles = [run_trial(config, size, i) for i in range(config.trials)]
         assert experiment._trial_block(config, shared, (size, 0, config.trials)) == singles
@@ -334,12 +342,40 @@ def test_pass_size_keeps_rows(monkeypatch):
 def test_pass_size_by_bytes():
     # passes grow as the dense block shrinks with the active size; at
     # n=2000 one trial's dense block alone passes the budget
-    assert [experiment._pass_trials(100, 3, s) for s in (2, 5, 10, 20, 50, 100)] == [
+    assert [experiment._pass_trials(100, 300, s) for s in (2, 5, 10, 20, 50, 100)] == [
         10, 11, 12, 14, 26, 54]
-    assert experiment._pass_trials(2000, 3, 2) == 1
+    assert experiment._pass_trials(2000, 6000, 2) == 1
 
 
-def test_block_raises_lowest_index_failing_trial():
+def test_passes_of_several_trials_fit_the_budget():
+    # why the exact solve needs no slicing: a pass of several trials stacks
+    # at most _PASS_BYTES of T x T blocks, far below EXACT_BLOCK_BYTES, and
+    # a pass of one is one block, which the per-trial guard covers
+    assert experiment._PASS_BYTES <= delegation.EXACT_BLOCK_BYTES
+    for n in range(2, 201):
+        for k in sorted({1, 2, 3, 10, n - 1} & set(range(1, n))):
+            for size in range(1, n + 1):
+                per_pass = experiment._pass_trials(n, n * k, size)
+                assert per_pass == 1 or per_pass * 8 * (n - size) ** 2 <= experiment._PASS_BYTES
+
+
+def test_injected_network_passes_are_costed_at_its_edges():
+    # a complete 100-node network has 9,900 edges; a pass costed at a k of 3
+    # would hold 10 trials and about 7 MB of edge arrays
+    net = generate_network(100, 99, np.random.default_rng(5))
+    config = ExperimentConfig(n=100, k=3, trials=40, active_sizes=(2,), master_seed=2,
+                              fresh_network_per_trial=False, propagation=UNIFORM)
+    run_experiment(config, network=net)  # imports and caches outside the traced run
+    tracemalloc.start()
+    try:
+        run_experiment(config, network=net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_block_raises_lowest_index_failing_trial(monkeypatch):
     # trial 1 runs out of sweeps and trial 3 strands trust: a pass that ran
     # the reject check of all its trials before solving would raise trial 3's
     config = ExperimentConfig(
@@ -351,6 +387,13 @@ def test_block_raises_lowest_index_failing_trial():
     with pytest.raises(NoConvergenceError) as excinfo:
         run_experiment(config)
     assert excinfo.value.trial == (3, 1, 61)
+    # passes of one trial: the failing passes 1 and 3 race on a pool, and
+    # the lowest index still wins
+    monkeypatch.setattr(experiment, "_PASS_BYTES", 0)
+    for workers in (1, 2):
+        with pytest.raises(NoConvergenceError) as excinfo:
+            run_experiment(config, workers=workers)
+        assert excinfo.value.trial == (3, 1, 61)
 
 
 def test_run_experiment_leaves_numpy_ma_unimported():

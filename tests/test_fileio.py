@@ -173,6 +173,16 @@ def test_results_header_schema():
     )
 
 
+def test_results_echo_k_only_when_the_config_has_one():
+    # a run on an injected network may leave k out, and then echoes none
+    fixed = dict(n=4, trials=3, active_sizes=(2,), fresh_network_per_trial=False)
+    echoed = [fileio.format_results(run_experiment(ExperimentConfig(k=k, **fixed),
+                                                   network=four_node_network()))
+              for k in (None, 3)]
+    assert "# k=" not in echoed[0]
+    assert echoed[1] == echoed[0].replace("# n=4\n", "# n=4\n# k=3\n")
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "sim.cfg"
     path.write_text("# comment\n\ntrials=25\nsizes=2,5\nstranded-policy=uniform\n")
