@@ -57,30 +57,37 @@ def load_network(
 ) -> tuple[TrustNetwork, list[int]]:
     """Load and validate a network from its two files.
 
-    Returns (network, dangling node ids).  Any parse problem
-    or invariant violation raises :class:`NetworkFormatError` listing
-    every failure with its file and line.
+    Returns (network, dangling node ids).  Any parse problem or invariant
+    violation raises :class:`NetworkFormatError` listing every failure:
+    parse and structure faults with their file and line, value faults
+    (:func:`validate_network`) by node or edge id.  Edges are read only
+    once the nodes file has no faults, so they are never checked against
+    a broken node list.
     """
     problems: list[str] = []
     opinions = _parse_nodes(nodes_path, problems)
-    n = len(opinions)
-    src, tgt, raw = _parse_edges(edges_path, n, problems)
-    if not opinions:
+    if problems or not opinions:
         raise NetworkFormatError("\n".join(problems) or f"{nodes_path}: no nodes")
-    network = TrustNetwork(opinions, src, tgt, raw)
+    network = TrustNetwork(opinions, *_parse_edges(edges_path, len(opinions), problems))
     problems += validate_network(network)
     if problems:
         raise NetworkFormatError("\n".join(problems))
     return network, network.dangling_nodes()
 
 
-def _parse_nodes(path: str | os.PathLike, problems: list[str]) -> list[float]:
+def _body(path: str | os.PathLike, header: str, problems: list[str]) -> list[tuple[int, str]]:
+    """The numbered lines after a file's header; none, with a problem noted,
+    when the first non-blank line is not that header."""
     lines = _read_lines(path)
-    if not lines or lines[0] != NODES_HEADER:
-        problems.append(f"{path}:1: expected header {NODES_HEADER!r}")
-        return []
+    if lines and lines[0][1] == header:
+        return lines[1:]
+    problems.append(f"{path}:{lines[0][0] if lines else 1}: expected header {header!r}")
+    return []
+
+
+def _parse_nodes(path: str | os.PathLike, problems: list[str]) -> list[float]:
     seen: dict[int, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _body(path, NODES_HEADER, problems):
         parts = line.split(",")
         if len(parts) != 2:
             problems.append(f"{path}:{lineno}: expected 'id,opinion', got {line!r}")
@@ -110,12 +117,8 @@ def _parse_edges(
     path: str | os.PathLike, n: int, problems: list[str]
 ) -> tuple[list[int], list[int], list[float]]:
     src, tgt, raw = [], [], []
-    lines = _read_lines(path)
-    if not lines or lines[0] != EDGES_HEADER:
-        problems.append(f"{path}:1: expected header {EDGES_HEADER!r}")
-        return src, tgt, raw
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in _body(path, EDGES_HEADER, problems):
         parts = line.split(",")
         if len(parts) != 3:
             problems.append(f"{path}:{lineno}: expected 'source,target,trust', got {line!r}")
@@ -199,9 +202,9 @@ def parse_config_file(path: str | os.PathLike, allowed: Iterable[str]) -> dict[s
     """Parse ``key=value`` lines; blank lines and ``#`` comments are ignored."""
     allowed = set(allowed)
     values: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(path, keep_blank=True), start=1):
+    for lineno, line in _read_lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
@@ -230,9 +233,9 @@ def parse_id_list(text: str) -> list[int]:
 def load_id_file(path: str | os.PathLike) -> list[int]:
     """One node id per line; blank lines and ``#`` comments are ignored."""
     out = []
-    for lineno, line in enumerate(_read_lines(path, keep_blank=True), start=1):
+    for lineno, line in _read_lines(path):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if stripped.startswith("#"):
             continue
         try:
             out.append(int(stripped))
@@ -246,16 +249,11 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
-def _read_lines(path: str | os.PathLike, keep_blank: bool = False) -> list[str]:
+def _read_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a file, counted from 1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise NetworkFormatError(f"{path}: {exc.strerror or exc}") from exc
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if keep_blank:
-        return lines
-    return [line for line in lines if line.strip() != ""]
-
+    return [(lineno, line) for lineno, line in enumerate(raw.split("\n"), start=1) if line.strip()]

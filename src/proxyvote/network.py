@@ -79,7 +79,8 @@ class ActiveSet:
 class TrustNetwork:
     """Array-backed directed trust network.
 
-    Edges are kept in canonical (source, target) order.  Instances are
+    Edges are kept in canonical (source, target) order; an endpoint
+    outside ``0 .. n-1`` or a repeated pair raises ValueError.  Instances are
     immutable: arrays are defensively copied and marked read-only, so a
     network can be shared freely across concurrent readers.
     """
@@ -98,6 +99,15 @@ class TrustNetwork:
             raise ValueError("edge arrays must have identical lengths")
         order = np.lexsort((tgt, src))
         src, tgt, raw = src[order], tgt[order], raw[order]
+        # the per-node totals and the solvers index by edge endpoints and keep one
+        # flow entry per (source, target) pair, so bad endpoints and repeated pairs
+        # are structural faults.  Sorted edges put the source extremes at the two
+        # ends and make repeated pairs adjacent.
+        n = len(opinions)
+        if len(src) and (src[0] < 0 or src[-1] >= n or tgt.min() < 0 or tgt.max() >= n):
+            raise ValueError("network has edges with out-of-range endpoints")
+        if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
+            raise ValueError("network has duplicate edges")
         for arr in (opinions, src, tgt, raw):
             arr.setflags(write=False)
         object.__setattr__(self, "opinions", opinions)
@@ -117,7 +127,6 @@ class TrustNetwork:
     def normalized_trust(self) -> np.ndarray:
         """Each edge's share of its source's total raw out-trust, 0.0 where
         that total is <= 0; read-only, computed on first use."""
-        _check_structure(self)
         norm = _shares(self.edge_source, self.raw_trust, self.n)
         norm.setflags(write=False)
         return norm
@@ -125,7 +134,6 @@ class TrustNetwork:
     def dangling_nodes(self) -> list[int]:
         """Sorted ids of the nodes whose total raw out-trust is <= 0,
         including every node without out-edges."""
-        _check_structure(self)
         totals = np.bincount(self.edge_source, weights=self.raw_trust, minlength=self.n)
         return np.flatnonzero(totals <= 0.0).tolist()
 
@@ -145,19 +153,6 @@ def _shares(src: np.ndarray, raw: np.ndarray, nodes: int) -> np.ndarray:
     total is <= 0; the edges of a node are summed in their array order."""
     totals = np.bincount(src, weights=raw, minlength=nodes)[src]
     return np.divide(raw, totals, out=np.zeros(len(raw)), where=totals > 0.0)
-
-
-def _check_structure(network: TrustNetwork) -> None:
-    # the per-node totals and the solvers index by edge endpoints and keep one
-    # flow entry per (source, target) pair, so bad endpoints and repeated pairs
-    # are structural faults.  Edges are in canonical order: source extremes are
-    # the first and last entries, and repeated pairs are adjacent.
-    if network.edge_count:
-        src, tgt = network.edge_source, network.edge_target
-        if src[0] < 0 or src[-1] >= network.n or tgt.min() < 0 or tgt.max() >= network.n:
-            raise ValueError("network has edges with out-of-range endpoints")
-        if np.any((src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])):
-            raise ValueError("network has duplicate edges")
 
 
 def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
@@ -209,11 +204,11 @@ def validate_network(network: TrustNetwork) -> list[str]:
     """Check the caller-supplied values; return one message per violation.
 
     Never raises: an empty list means the network is valid.  Messages
-    identify the offending node or edge by id.
+    identify the offending node or edge by id.  Structure (endpoints in
+    range, no repeated pair) is checked when the network is built.
     """
     problems: list[str] = []
-    n = network.n
-    if n == 0:
+    if network.n == 0:
         problems.append("network has no nodes")
 
     ops = network.opinions
@@ -222,23 +217,12 @@ def validate_network(network: TrustNetwork) -> list[str]:
         problems.append(f"node {i}: opinion {float(ops[i])!r} outside [0.0, 1.0]")
 
     src, tgt, raw = network.edge_source, network.edge_target, network.raw_trust
-    bad_source = (src < 0) | (src >= n)
-    bad_target = (tgt < 0) | (tgt >= n)
     self_loop = src == tgt
     bad_raw = ~(np.isfinite(raw) & (raw >= 0.0) & (raw <= 1.0))
-    for i in np.flatnonzero(bad_source | bad_target | self_loop | bad_raw):
+    for i in np.flatnonzero(self_loop | bad_raw):
         s, t = int(src[i]), int(tgt[i])
-        if bad_source[i]:
-            problems.append(f"edge ({s}, {t}): source node {s} out of range")
-        if bad_target[i]:
-            problems.append(f"edge ({s}, {t}): target node {t} out of range")
         if self_loop[i]:
             problems.append(f"edge ({s}, {t}): self-loop on node {s}")
         if bad_raw[i]:
             problems.append(f"edge ({s}, {t}): raw trust {float(raw[i])!r} outside [0.0, 1.0]")
-
-    # canonical order makes duplicates adjacent
-    duplicate = (src[1:] == src[:-1]) & (tgt[1:] == tgt[:-1])
-    for i in np.flatnonzero(duplicate) + 1:
-        problems.append(f"duplicate edge ({src[i]}, {tgt[i]})")
     return problems

@@ -490,20 +490,6 @@ def test_propagation_config_validation():
         PropagationConfig(max_iterations=0)
 
 
-def test_out_of_range_endpoints_rejected(four_node_active):
-    broken = TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 4], [1.0, 0.25, 0.75])
-    with pytest.raises(ValueError, match="out-of-range endpoints"):
-        compute_weights_iterative(broken, four_node_active)
-    with pytest.raises(ValueError, match="out-of-range endpoints"):
-        compute_weights_exact(broken, four_node_active)
-    # the flow blocks hold one entry per (source, target) pair, so a repeated
-    # pair is refused rather than half dropped
-    doubled = TrustNetwork([0.1, 0.5, 0.9], [0, 0, 1], [1, 1, 2], [0.5, 0.5, 1.0])
-    for solve in (compute_weights_iterative, compute_weights_exact):
-        with pytest.raises(ValueError, match="duplicate edges"):
-            solve(doubled, ActiveSet([2]))
-
-
 def test_active_out_of_range_rejected(four_node):
     with pytest.raises(ValueError):
         compute_weights_exact(four_node, ActiveSet([2, 99]))

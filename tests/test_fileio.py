@@ -82,6 +82,10 @@ def test_load_reports_out_of_range_row(tmp_path):
         fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
     message = str(excinfo.value)
     assert ":3:" in message and "99" in message
+    # blank lines count: the report names the line as an editor numbers it
+    (tmp_path / "e.csv").write_text("source,target,trust\n\n\n0,1,0.5\n1,99,0.5\n")
+    with pytest.raises(fileio.NetworkFormatError, match=r"e\.csv:5: target node 99"):
+        fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
 
 
 def test_load_rejects_duplicate_edges_with_line(tmp_path):
@@ -102,14 +106,21 @@ def test_load_rejects_bad_headers_and_tokens(tmp_path):
     with pytest.raises(fileio.NetworkFormatError) as excinfo:
         fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
     assert ":2:" in str(excinfo.value)
+    (tmp_path / "n.csv").write_text("id,opinion\n0,0.5\n\n1,half\n")
+    with pytest.raises(fileio.NetworkFormatError, match=r"n\.csv:4: could not parse '1,half'"):
+        fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
+    (tmp_path / "n.csv").write_text("\n\nopinion,id\n0,0.5\n")
+    with pytest.raises(fileio.NetworkFormatError, match=r"n\.csv:3: expected header"):
+        fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
 
 
 def test_load_requires_dense_ids(tmp_path):
     (tmp_path / "n.csv").write_text("id,opinion\n0,0.5\n2,0.5\n")
-    (tmp_path / "e.csv").write_text("source,target,trust\n")
+    (tmp_path / "e.csv").write_text("source,target,trust\n0,2,0.5\n2,0,0.5\n")
     with pytest.raises(fileio.NetworkFormatError) as excinfo:
         fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
-    assert "dense" in str(excinfo.value)
+    # edges are not checked against a node list that failed
+    assert "dense" in str(excinfo.value) and "out of range" not in str(excinfo.value)
 
 
 def test_load_rejects_invariant_violations(tmp_path):
@@ -191,8 +202,8 @@ def test_parse_config_file(tmp_path):
     path.write_text("wat=1\n")
     with pytest.raises(fileio.NetworkFormatError):
         fileio.parse_config_file(path, ("trials",))
-    path.write_text("just a line\n")
-    with pytest.raises(fileio.NetworkFormatError):
+    path.write_text("# comment\n\njust a line\n")
+    with pytest.raises(fileio.NetworkFormatError, match=":3: expected 'key=value'"):
         fileio.parse_config_file(path, ("trials",))
 
 
@@ -204,6 +215,6 @@ def test_parse_id_list_and_file(tmp_path):
     path = tmp_path / "ids.txt"
     path.write_text("# reps\n4\n7\n\n")
     assert fileio.load_id_file(path) == [4, 7]
-    path.write_text("4\nseven\n")
-    with pytest.raises(fileio.NetworkFormatError):
+    path.write_text("4\n\nseven\n")
+    with pytest.raises(fileio.NetworkFormatError, match=":3: could not parse node id 'seven'"):
         fileio.load_id_file(path)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyvote import (
     ActiveSet,
@@ -149,12 +151,37 @@ def test_validate_reports_opinion_range():
     assert any("node 0" in p and "opinion" in p for p in problems)
 
 
-def test_validate_reports_duplicates_and_bad_endpoints():
-    net = TrustNetwork([0.5, 0.5], [0, 0, 0, 1], [1, 1, 9, 0], [0.5, 0.4, 0.5, 1.5])
-    problems = "\n".join(validate_network(net))
-    assert "duplicate edge (0, 1)" in problems
-    assert "target node 9 out of range" in problems
-    assert "raw trust" in problems
+def test_validate_reports_raw_trust_range():
+    net = TrustNetwork([0.5, 0.5], [0, 1], [1, 0], [0.5, 1.5])
+    assert validate_network(net) == ["edge (1, 0): raw trust 1.5 outside [0.0, 1.0]"]
+
+
+def test_out_of_range_endpoints_rejected():
+    # the per-node totals and the solvers index by endpoint and keep one flow
+    # entry per (source, target) pair, so neither fault survives construction
+    with pytest.raises(ValueError, match="out-of-range endpoints"):
+        TrustNetwork([0.8, 0.8, 0.5, 0.9], [0, 1, 1], [1, 2, 4], [1.0, 0.25, 0.75])
+    with pytest.raises(ValueError, match="out-of-range endpoints"):
+        TrustNetwork([0.8, 0.8], [-1], [0], [1.0])
+    with pytest.raises(ValueError, match="duplicate edges"):
+        TrustNetwork([0.1, 0.5, 0.9], [0, 0, 1], [1, 1, 2], [0.5, 0.5, 1.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 4), st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=6))
+def test_constructor_refuses_exactly_the_malformed_edges(n, pairs):
+    def build():
+        return TrustNetwork([0.5] * n, [s for s, _ in pairs], [t for _, t in pairs],
+                            [0.5] * len(pairs))
+    if any(not 0 <= node < n for pair in pairs for node in pair):
+        with pytest.raises(ValueError, match="out-of-range endpoints"):
+            build()
+    elif len(set(pairs)) < len(pairs):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            build()
+    else:
+        net = build()
+        assert list(zip(net.edge_source.tolist(), net.edge_target.tolist())) == sorted(pairs)
 
 
 def test_validate_accepts_empty_network_edge_case():
@@ -197,20 +224,17 @@ def test_validate_pins_every_message_in_order():
     nan = float("nan")
     broken = TrustNetwork(
         [0.5, nan, 1.5, 0.2],
-        [0, 0, 1, 1, 2, 2, -1, 3, 4],
-        [1, 1, 1, 2, 3, 5, 0, 0, -2],
-        [0.5, 0.5, 0.4, 1.25, nan, 0.5, 0.5, -0.5, 0.5],
+        [3, 0, 1, 2, 1, 3],
+        [3, 1, 2, 3, 1, 0],
+        [2.0, 0.5, 1.25, nan, 0.4, -0.5],
     )
     assert validate_network(broken) == [
         "node 1: opinion nan outside [0.0, 1.0]",
         "node 2: opinion 1.5 outside [0.0, 1.0]",
-        "edge (-1, 0): source node -1 out of range",
         "edge (1, 1): self-loop on node 1",
         "edge (1, 2): raw trust 1.25 outside [0.0, 1.0]",
         "edge (2, 3): raw trust nan outside [0.0, 1.0]",
-        "edge (2, 5): target node 5 out of range",
         "edge (3, 0): raw trust -0.5 outside [0.0, 1.0]",
-        "edge (4, -2): source node 4 out of range",
-        "edge (4, -2): target node -2 out of range",
-        "duplicate edge (0, 1)",
+        "edge (3, 3): self-loop on node 3",
+        "edge (3, 3): raw trust 2.0 outside [0.0, 1.0]",
     ]
