@@ -10,7 +10,9 @@ population size.
 Two interchangeable computations are provided:
 
 * :func:`compute_weights_iterative` runs the redistribution sweeps over
-  the edge list until the mobile residual falls below a tolerance.
+  the edge list until the mobile residual falls below a tolerance, or
+  until the walk has settled into its slowest mode and the rest of it is
+  summed in closed form.
 * :func:`compute_weights_exact` treats active nodes as absorbing states
   and solves the dense linear system for absorption probabilities.
 
@@ -68,7 +70,10 @@ class StrandedPolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Termination and degeneracy knobs for the iterative sweeps."""
+    """Termination and degeneracy knobs for the iterative sweeps: a solve
+    stops below ``tolerance`` or when its tail closes
+    (:func:`compute_weights_iterative`), and ``max_iterations`` sweeps
+    without either raise :class:`NoConvergenceError`."""
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
@@ -99,7 +104,8 @@ class WeightVector:
     they sum to the population size within tolerance.  ``stranded_mass``
     reports how much trust had no path to the active set and was handled
     by policy (0.0 when nothing was stranded).  ``iterations_used`` is
-    the sweep count of the iterative path, None for the exact solver.
+    the number of sweeps the iterative path ran before it stopped, at the
+    tolerance or by closing the tail; None for the exact solver.
     """
 
     weights: dict[int, float]
@@ -132,12 +138,24 @@ def compute_weights_iterative(
     Each active node keeps its own unit; each transient node starts with
     one mobile unit.  Per sweep, every transient node sends all trust it
     holds along its normalized out-edges simultaneously; trust arriving
-    at active nodes is absorbed.  Sweeps stop when the total mobile trust
-    drops below ``config.tolerance``; the residual left then is dropped,
-    so the weights sum to the population size within it.  Raises
-    :class:`StrandedTrustError` if nodes are stranded under the REJECT
-    policy and :class:`NoConvergenceError` if ``config.max_iterations``
-    sweeps leave the residual at or above the tolerance.
+    at active nodes is absorbed.  Sweeps stop at the first of two events:
+
+    * the total mobile trust drops below ``config.tolerance``; the
+      residual left then is dropped, so the weights sum to the population
+      size within it;
+    * the tail closes: on each of the last two sweeps the split of what
+      was absorbed over two sweeps (per active node, plus what leaked to
+      stranded nodes) moved by <= 8 eps (A + 1) in L1, and the residual
+      ratio residual_t / residual_{t-2} by <= 8 eps (eps the float64
+      machine epsilon).  The walk is then in its slowest mode to rounding,
+      every later sweep absorbs that same split of what is left, and the
+      whole residual is handed out in it: the geometric tail of the
+      Neumann series summed in closed form (Brezinski and Redivo-Zaglia,
+      *Extrapolation Methods*, 1991).
+
+    Raises :class:`StrandedTrustError` if nodes are stranded under the
+    REJECT policy and :class:`NoConvergenceError` if
+    ``config.max_iterations`` sweeps end in neither event.
     """
     return _weight_vector(network, active, config.stranded_policy, config)
 
@@ -209,7 +227,8 @@ def _absorb(
     sorted active ids.  One reverse search over the whole pass finds the
     nodes that reach no active node, whose trust ``policy`` rejects or
     splits evenly over the weights.  Given a sweep ``config``, all trials
-    sweep their live edges together; otherwise each group of equal
+    sweep their live edges together, each until its residual is below the
+    tolerance or its tail closes; otherwise each group of equal
     transient count T takes one stacked adjoint solve, and one bincount
     adds the flows.  Returns (weights (B, A), stranded mass (B,), sweeps
     used (B,)).
@@ -234,33 +253,66 @@ def _absorb(
     trial = src // n
     if config is not None:
         # a sweep is one bincount of every live edge's flow into its bin of
-        # [next mobile (B*n) | weights (B*A) | leak (B)]; a trial whose
-        # residual drops below the tolerance stops and its edges leave the
-        # arrays, so it gets the bits it gets alone
-        to_weight, to_leak = b * n + trial * a + position[tgt], b * n + b * a + trial
-        dest = np.where(transient[tgt], tgt, np.where(is_active[tgt], to_weight, to_leak))
+        # [next mobile (B*n) | per trial: weights (A), leak (1)]; a trial
+        # whose residual drops below the tolerance, or whose tail closes,
+        # stops and its edges leave the arrays, so it gets the bits it gets alone
+        to_bins = b * n + trial * (a + 1)
+        dest = np.where(transient[tgt], tgt, to_bins + np.where(is_active[tgt], position[tgt], a))
+        absorbed = np.hstack((weights, leaked[:, None]))
         mobile, residual = transient.astype(float), t_count.astype(float)
         running, iterations = np.ones(b, dtype=bool), 0
-        while True:
-            done = running & (residual < config.tolerance)
-            if done.any():
-                sweeps[done] = iterations
-                running &= ~done
-                if not running.any():
-                    break
-                keep = running[trial]
-                src, dest, w, trial = src[keep], dest[keep], w[keep], trial[keep]
-            if iterations == config.max_iterations:
-                raise NoConvergenceError(
-                    f"residual mobile trust {float(residual[running.argmax()])!r} after "
-                    f"{iterations} sweeps (tolerance {config.tolerance!r})"
-                )
-            flow = np.bincount(dest, weights=mobile[src] * w, minlength=b * (n + a + 1))
-            weights += flow[b * n:b * (n + a)].reshape(b, a)
-            leaked += flow[b * (n + a):]
-            mobile = flow[:b * n]
-            residual = mobile.reshape(b, n).sum(axis=1)
-            iterations += 1
+        # the tail test of compute_weights_iterative: the O(B) ratio test runs
+        # every sweep; ``run`` counts a trial's calm ratios in a row, and its
+        # O(A) split test runs once ``run`` reaches ``need``: 2, after a failed
+        # test 5/4 of ``run`` plus 1, and 2 again when the run breaks, so a
+        # ratio that settles long before the split (a period-3 cycle) costs
+        # O(log sweeps) tests
+        eps = 8 * np.finfo(float).eps
+        took = np.zeros((b, a + 1))
+        pairs = [took] * 3  # absorbed over sweeps t-1 and t, for the last three t
+        # the residual two sweeps back and one back, and the last residual_t / residual_{t-2}
+        before, last, ratio = np.full(b, np.nan), residual, np.full(b, np.nan)
+        run, need = np.zeros(b, dtype=np.int64), np.full(b, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is NaN: never calm
+            while True:
+                calm, below = run >= need, residual < config.tolerance
+                done = running & (below | calm)
+                if done.any():
+                    ready = np.flatnonzero(done & calm)
+                    if ready.size:
+                        pair = np.stack([p[ready] for p in pairs])
+                        split = pair / pair.sum(axis=2, keepdims=True)
+                        moved = np.abs(split[1:] - split[:-1]).sum(axis=2).max(axis=0)
+                        steady = moved <= eps * (a + 1)
+                        closed, unsteady = ready[steady], ready[~steady]
+                        need[unsteady] = run[unsteady] * 5 // 4 + 1
+                        absorbed[closed] += residual[closed, None] * split[2, steady]
+                        done[ready] = steady | below[ready]
+                    sweeps[done] = iterations
+                    running &= ~done
+                    if not running.any():
+                        break
+                    keep = running[trial]
+                    src, dest, w, trial = src[keep], dest[keep], w[keep], trial[keep]
+                if iterations == config.max_iterations:
+                    raise NoConvergenceError(
+                        f"residual mobile trust {float(residual[running.argmax()])!r} after "
+                        f"{iterations} sweeps (tolerance {config.tolerance!r})"
+                    )
+                flow = np.bincount(dest, weights=mobile[src] * w, minlength=b * (n + a + 1))
+                new = flow[b * n:].reshape(b, a + 1)
+                absorbed += new
+                pairs, took = pairs[1:] + [took + new], new
+                mobile = flow[:b * n]
+                residual = mobile.reshape(b, n).sum(axis=1)
+                iterations += 1
+                ratio, last_ratio = residual / before, ratio
+                now_calm = np.abs(ratio - last_ratio) <= eps
+                run += 1
+                run *= now_calm
+                need = np.where(now_calm, need, 2)
+                before, last = last, residual
+        weights, leaked = absorbed[:, :a], absorbed[:, a]
     else:
         # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units
         # to t (Kemeny and Snell), so active a absorbs y[t] * w over edge t -> a;
@@ -274,11 +326,13 @@ def _absorb(
             # the guard is per trial: a caller batching trials keeps their stack small
             group = np.flatnonzero(t_count == t)
             mine = into_t & (t_count[trial] == t)
-            qt = np.zeros((len(group), t, t))
-            qt[np.searchsorted(group, trial[mine]), position[tgt[mine]],
-               position[src[mine]]] = w[mine]
+            # I - Q built in place (1 + (-w) == 1 - w exactly); LAPACK takes its transpose
+            m = np.zeros((len(group), t, t))
+            m[np.searchsorted(group, trial[mine]), position[src[mine]],
+              position[tgt[mine]]] = -w[mine]
+            m.reshape(len(group), -1)[:, ::t + 1] += 1.0
             try:
-                y = np.linalg.solve(np.subtract(np.eye(t), qt, out=qt), np.ones((len(group), t, 1)))
+                y = np.linalg.solve(m.swapaxes(1, 2), np.ones((len(group), t, 1)))
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
             visits[group, :t] = y[..., 0]

@@ -27,6 +27,20 @@ def trust_value(opinion_p: float, opinion_q: float) -> float:
     return 1.0 - abs(opinion_p - opinion_q)
 
 
+def _int64_ids(values, what: str) -> np.ndarray:
+    """``values`` as a new flat ``int64`` array; a value that is not an integer
+    within int64 raises ValueError rather than being truncated or overflowing."""
+    arr = np.asarray(values).reshape(-1)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN or a float beyond int64: caught below
+            ids = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        ids = None
+    if ids is None or not np.array_equal(ids, arr):
+        raise ValueError(f"{what} must be integers within the signed 64-bit range")
+    return ids
+
+
 class ActiveSet:
     """Immutable non-empty set of node ids acting as representatives,
     held as one sorted, read-only ``int64`` array ``ids``."""
@@ -34,10 +48,7 @@ class ActiveSet:
     __slots__ = ("ids",)
 
     def __init__(self, members: Iterable[int]):
-        try:
-            ids = np.array(sorted({int(i) for i in members}), dtype=np.int64)
-        except OverflowError:
-            raise ValueError("active node ids must fit in a signed 64-bit integer") from None
+        ids = np.unique(_int64_ids(list(members), "active node ids"))
         if not ids.size:
             raise ValueError("active set must contain at least one node")
         if ids[0] < 0:
@@ -92,8 +103,8 @@ class TrustNetwork:
 
     def __post_init__(self):
         opinions = np.array(self.opinions, dtype=np.float64).reshape(-1)
-        src = np.array(self.edge_source, dtype=np.int64).reshape(-1)
-        tgt = np.array(self.edge_target, dtype=np.int64).reshape(-1)
+        src = _int64_ids(self.edge_source, "edge endpoints")
+        tgt = _int64_ids(self.edge_target, "edge endpoints")
         raw = np.array(self.raw_trust, dtype=np.float64).reshape(-1)
         if not len(src) == len(tgt) == len(raw):
             raise ValueError("edge arrays must have identical lengths")

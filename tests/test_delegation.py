@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxyvote import (
@@ -177,6 +177,65 @@ def test_exact_near_closed_cycle_conserves_or_raises(eps, conserved):
     else:
         with pytest.raises(SingularSystemError):
             compute_weights_exact(net, ActiveSet([2]))
+
+
+def test_iterative_closes_the_tail_of_a_near_closed_cycle():
+    # the cycle of test_exact_near_closed_cycle_conserves_or_raises at eps =
+    # 1e-8 would take about 10^9 sweeps to reach the tolerance; after a few
+    # sweeps the walk is in its slowest mode and the residual is handed out
+    net = _net([0.5] * 3, [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 1e-8)])
+    vector = compute_weights_iterative(net, ActiveSet([2]))
+    assert vector.weights[2] == pytest.approx(3.0, abs=1e-6)
+    assert vector.iterations_used <= 10
+    # leaking to one representative from each node, it absorbs with period 2
+    net = _net([0.5] * 4, [(0, 1, 0.5), (0, 2, 1e-8), (1, 0, 0.5), (1, 3, 1e-8)])
+    vector = compute_weights_iterative(net, ActiveSet([2, 3]))
+    assert list(vector.weights.values()) == pytest.approx([2.0, 2.0], abs=1e-6)
+    assert vector.iterations_used <= 10
+
+
+def _agree_or_no_convergence(net, active):
+    try:
+        iterative = compute_weights_iterative(net, active)
+    except NoConvergenceError:
+        return
+    exact = compute_weights_exact(net, active)
+    for node, w in exact.weights.items():
+        assert abs(iterative.weights[node] - w) <= 1e-6
+
+
+# leak ratios in [0.9, 1.1], many within 1e-12 .. 1e-1 of 1
+_NEAR_ONE = st.one_of(st.floats(0.9, 1.1),
+                      st.tuples(st.sampled_from([-1, 1]), st.floats(-12.0, -1.0))
+                      .map(lambda sign_exp: 1.0 + sign_exp[0] * 10 ** sign_exp[1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(1e-3, 1e-1), _NEAR_ONE, st.floats(0.0, 1e-2))
+@example(1e-3, 1.01, 0.0)
+@example(1e-2, 1.0 + 1e-9, 1e-9)
+def test_iterative_two_near_closed_cycles_agree_with_exact(leak, ratio, coupling):
+    # 0 <-> 1 drain to 4 and 2 <-> 3 to 5 at nearly equal rates, and 0 <-> 2
+    # couple them: two slow modes absorb in different splits, and closing the
+    # tail while both are alive would misplace trust
+    net = _net([0.5] * 6, [(0, 1, 1.0), (0, 2, coupling), (1, 0, 1.0 - leak), (1, 4, leak),
+                           (2, 0, coupling), (2, 3, 1.0), (3, 2, 1.0 - leak * ratio),
+                           (3, 5, leak * ratio)])
+    _agree_or_no_convergence(net, ActiveSet([4, 5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 1e-1), st.floats(0.0, 1.0), st.integers(1, 20), st.integers(1, 20))
+def test_iterative_unequal_chains_agree_with_exact(leak, part, first, second):
+    # the near-closed cycle 0 <-> 1 leaks into two chains of unequal length
+    # that end at different representatives, so each absorbs with its own delay
+    heads, tails = [2, 2 + first], [1 + first, 1 + first + second]
+    n = 4 + first + second
+    edges = [(0, 1, 1.0), (1, 0, 1.0 - leak), (1, heads[0], leak * part),
+             (1, heads[1], leak * (1.0 - part))]
+    for head, tail, rep in zip(heads, tails, (n - 2, n - 1)):
+        edges += [(v, v + 1, 1.0) for v in range(head, tail)] + [(tail, rep, 1.0)]
+    _agree_or_no_convergence(_net([0.5] * n, edges), ActiveSet([n - 2, n - 1]))
 
 
 def test_exact_subnormal_cycle_raises_instead_of_nan():

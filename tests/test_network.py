@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxyvote import (
@@ -167,13 +167,25 @@ def test_out_of_range_endpoints_rejected():
         TrustNetwork([0.1, 0.5, 0.9], [0, 0, 1], [1, 1, 2], [0.5, 0.5, 1.0])
 
 
+_NOT_INT64 = [1.7, -0.5, float("nan"), float("inf"), 2.0**63, 10**30, -10**30]
+_ID = st.one_of(st.integers(-2, 5), st.sampled_from([0.0, 1.0, 3.0] + _NOT_INT64))
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, 4), st.lists(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=6))
+@given(st.integers(0, 4), st.lists(st.tuples(_ID, _ID), max_size=6))
+@example(2, [(0, 1.7)])
+@example(2, [(0, 10**30)])
+@example(2, [(0, 1), (1, 2**63)])
 def test_constructor_refuses_exactly_the_malformed_edges(n, pairs):
     def build():
         return TrustNetwork([0.5] * n, [s for s, _ in pairs], [t for _, t in pairs],
                             [0.5] * len(pairs))
-    if any(not 0 <= node < n for pair in pairs for node in pair):
+    # an id is an integer within int64, never truncated or overflowed into one
+    if any(not (math.isfinite(node) and node == int(node) and -2**63 <= node < 2**63)
+           for pair in pairs for node in pair):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            build()
+    elif any(not 0 <= node < n for pair in pairs for node in pair):
         with pytest.raises(ValueError, match="out-of-range endpoints"):
             build()
     elif len(set(pairs)) < len(pairs):
@@ -207,6 +219,10 @@ def test_active_set_invariants():
         ActiveSet([])
     with pytest.raises(ValueError):
         ActiveSet([-1, 2])
+    for members in ([1.7], [0, 2.5], [10**30], [2**63], [float("nan")], [2.0**70]):
+        with pytest.raises(ValueError, match="active node ids must be integers"):
+            ActiveSet(members)
+    assert ActiveSet([3.0, 1]).ids.tolist() == [1, 3]
     active = ActiveSet([3, 1, 3])
     assert len(active) == 2
     assert active.ids.tolist() == [1, 3] and active.ids.dtype == np.int64
