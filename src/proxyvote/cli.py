@@ -131,8 +131,10 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(exc, "trial"):  # raised by a simulate trial
             print("error: failed at active size {}, trial {}, master seed {}".format(*exc.trial),
                   file=sys.stderr)
-        kind = "out of memory: " if isinstance(exc, MemoryError) else ""
-        print(f"error: {kind}{exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"out of memory: {message}" if message else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
         return 3 if isinstance(exc, DelegationError) else 2
 
 

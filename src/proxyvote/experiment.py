@@ -12,9 +12,10 @@ or distributed across worker processes.
 
 One kernel runs every trial, in passes of one size's trials sized by
 ``_pass_trials``.  Each trial draws from its own stream as a lone trial
-would: its opinions, its O(n * k) target picks, then its active set.  The
-rest runs on arrays with a leading trial axis: the picks of the pass
-become targets in one go, and ``_absorb`` searches and solves the pass as
+would: its network as one ``rng.random(n * (k + 1))`` call, then its
+active set.  The rest runs on arrays with a leading trial axis: the
+pass's (B, n * (k + 1)) uniforms become opinions, picks and targets in
+one go (``_draw_targets``), and ``_absorb`` searches and solves the pass as
 one graph of disjoint copies, trials with equal transient count T sharing
 one stacked (G, T, T) solve.  Each trial's bits are those of the trial
 run alone.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .decisions import _decide, decision_error
 from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb
-from .network import TrustNetwork, _draw_targets, _shares, _targets, generate_network, trust_value
+from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
 #: byte budget of one kernel pass (README, "Performance notes", says why 1 MiB)
@@ -190,19 +191,20 @@ def _kernel(
 ) -> list[tuple[float, float, bool]]:
     """Trials lo..hi-1 at one active size in one pass; ``network`` None
     draws a fresh network per trial."""
-    n, b = config.n, hi - lo
-    drawn, active = [], []
-    for i in range(lo, hi):
+    n, k, b = config.n, config.k, hi - lo
+    uniforms = np.empty((b, n * (k + 1))) if network is None else None
+    active = []
+    for j, i in enumerate(range(lo, hi)):
         rng = _trial_rng(config, size, i)
         if network is None:
-            drawn.append(_draw_targets(n, config.k, rng))
+            rng.random(out=uniforms[j])
         active.append(rng.choice(n, size=size, replace=False))
     active = np.sort(active, axis=1)
     offset = np.arange(0, b * n, n)[:, None]
     if network is None:
-        opinions, picks = map(np.array, zip(*drawn))
-        src = (np.repeat(np.arange(n), config.k) + offset).ravel()
-        tgt = (_targets(picks).reshape(b, -1) + offset).ravel()
+        opinions, targets = _draw_targets(uniforms, n, k)
+        src = (np.repeat(np.arange(n), k) + offset).ravel()
+        tgt = (targets.reshape(b, -1) + offset).ravel()
         norm = _shares(src, trust_value(opinions.ravel()[src], opinions.ravel()[tgt]), b * n)
     else:
         opinions = np.broadcast_to(network.opinions, (b, n))
@@ -223,14 +225,16 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run all trials for every active size and aggregate per-size stats.
 
-    Each size is cut into (size, start, stop) passes of ``_pass_trials``
-    trials.  With ``workers`` = 1 they run in this process; with more, on
-    one pool of that many processes (at most ``os.cpu_count()``), in
-    chunks of passes that make about 4 tasks per worker per size.  Passes
-    come back in submission order and trials are seeded by index, so the
-    aggregate is identical for any worker count.  The error of the first
-    failing trial (smallest size, then lowest index) is raised and the
-    passes not yet started are cancelled.
+    Result arrays for every trial are allocated first, so a trial count
+    beyond memory raises ``MemoryError`` before any work.  Each size is then
+    cut into (size, start, stop) passes of ``_pass_trials`` trials, which
+    fill the arrays as they come back.  With ``workers`` = 1 they run in
+    this process; with more, on one pool of that many processes (at most
+    ``os.cpu_count()``), in chunks of passes that make about 4 tasks per
+    worker per size.  Passes come back in submission order and trials are
+    seeded by index, so the aggregate is identical for any worker count.
+    The error of the first failing trial (smallest size, then lowest index)
+    is raised and the passes not yet started are cancelled.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -239,21 +243,30 @@ def run_experiment(
     edges = config.n * config.k if network is None else network.edge_count
 
     sizes = sorted(config.active_sizes)
+    # one slot per trial, size after size
+    err_t, err_w = np.empty((2, len(sizes) * config.trials))
+    stranded = np.empty(len(sizes) * config.trials, dtype=bool)
     per_pass = {size: _pass_trials(config.n, edges, size) for size in sizes}
-    passes = [(size, start, min(start + per_pass[size], config.trials))
-              for size in sizes for start in range(0, config.trials, per_pass[size])]
+    passes = ((size, start, min(start + per_pass[size], config.trials))
+              for size in sizes for start in range(0, config.trials, per_pass[size]))
+
+    def fill(results) -> None:  # passes come back in the slots' order
+        stop = 0
+        for triples in results:
+            start, stop = stop, stop + len(triples)
+            err_t[start:stop], err_w[start:stop], stranded[start:stop] = zip(*triples)
+
     run_pass = partial(_trial_block, config, network)
     if workers == 1:
-        results = list(map(run_pass, passes))
+        fill(map(run_pass, passes))
     else:
-        chunk = -(-len(passes) // (4 * workers * len(sizes)))
+        count = sum(-(-config.trials // step) for step in per_pass.values())
+        chunk = -(-count // (4 * workers * len(sizes)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_pass, passes, chunksize=chunk))
-    triples = [triple for done in results for triple in done]
-    err_t, err_w, stranded = (
-        np.array(column).reshape(len(sizes), config.trials) for column in zip(*triples)
-    )
-    rows = tuple(map(_aggregate, sizes, err_t, err_w, stranded))
+            fill(pool.map(run_pass, passes, chunksize=chunk))
+    shape = (len(sizes), config.trials)
+    rows = tuple(map(_aggregate, sizes, err_t.reshape(shape), err_w.reshape(shape),
+                     stranded.reshape(shape)))
     return ExperimentResult(rows=rows, config=config)
 
 

@@ -179,24 +179,40 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
     rng : numpy.random.Generator
         Source of randomness; identical streams yield identical networks.
 
-    Opinions are drawn uniformly from [0, 1); each edge's raw trust is
-    the opinion similarity of its endpoints (:func:`trust_value`).
-    Targets take O(n * k) time and memory (:func:`_draw_targets`).
+    The network is one ``rng.random(n * (k + 1))`` draw: the first n
+    values are the opinions, uniform on [0, 1); the rest become the
+    targets (:func:`_draw_targets`) in O(n * k) time and memory.  Each
+    edge's raw trust is the opinion similarity of its endpoints
+    (:func:`trust_value`).
     """
     if n < 2:
         raise ValueError(f"invalid configuration: need n >= 2, got n={n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"invalid configuration: need 1 <= k <= n-1, got k={k}, n={n}")
-    opinions, picks = _draw_targets(n, k, rng)
-    src, tgt = np.repeat(np.arange(n, dtype=np.int64), k), _targets(picks).reshape(-1)
+    opinions, targets = _draw_targets(rng.random(n * (k + 1)), n, k)
+    src, tgt = np.repeat(np.arange(n, dtype=np.int64), k), targets.reshape(-1)
     # opinions lie in [0, 1), so every raw trust is positive and no node dangles
     return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
 
 
-def _draw_targets(n: int, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Opinions and the (n, k) picks of Floyd's sampling (Bentley and Floyd,
-    CACM 1987): pick i of a row is uniform on 0 .. n-1-k+i."""
-    return rng.random(n), rng.integers(0, np.arange(n - k, n), size=(n, k))
+def _draw_targets(uniforms: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Opinions (..., n) and targets (..., n, k) of networks drawn as
+    (..., n * (k + 1)) uniforms on [0, 1): the first n are the opinions, and
+    the next n * k, read as n rows of k, become the picks of Floyd's sampling
+    (Bentley and Floyd, CACM 1987), row v's for node v (:func:`_floyd_picks`)."""
+    picks = _floyd_picks(uniforms[..., n:].reshape(*uniforms.shape[:-1], n, k), n)
+    return uniforms[..., :n], _targets(picks)
+
+
+def _floyd_picks(uniforms: np.ndarray, n: int) -> np.ndarray:
+    """Picks of (..., k) uniforms u on [0, 1): pick i is floor(u * m), m = n-k+i,
+    so each of 0 .. m-1 has probability 1/m to a relative error of order
+    m / 2**53.  The pick is never m: u <= 1 - 2**-53, so for an integer
+    1 <= m <= 2**53 the exact product lies at least m * 2**-53 below m.  That is
+    more than half the spacing of doubles just below m, or exactly that spacing
+    when m is a power of two, so u * m rounds to a double below m."""
+    k = uniforms.shape[-1]
+    return (uniforms * np.arange(n - k, n)).astype(np.int64)
 
 
 def _targets(picks: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -379,21 +380,34 @@ def test_block_raises_lowest_index_failing_trial(monkeypatch):
     # trial 1 runs out of sweeps and trial 3 strands trust: a pass that ran
     # the reject check of all its trials before solving would raise trial 3's
     config = ExperimentConfig(
-        n=12, k=1, trials=8, active_sizes=(3,), master_seed=61, solver="iterative",
+        n=12, k=1, trials=8, active_sizes=(3,), master_seed=1, solver="iterative",
         propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT, max_iterations=2),
     )
     with pytest.raises(StrandedTrustError):
         run_trial(config, 3, 3)
     with pytest.raises(NoConvergenceError) as excinfo:
         run_experiment(config)
-    assert excinfo.value.trial == (3, 1, 61)
+    assert excinfo.value.trial == (3, 1, 1)
     # passes of one trial: the failing passes 1 and 3 race on a pool, and
     # the lowest index still wins
     monkeypatch.setattr(experiment, "_PASS_BYTES", 0)
     for workers in (1, 2):
         with pytest.raises(NoConvergenceError) as excinfo:
             run_experiment(config, workers=workers)
-        assert excinfo.value.trial == (3, 1, 61)
+        assert excinfo.value.trial == (3, 1, 1)
+
+
+def test_absurd_trial_count_raises_before_any_pass(monkeypatch):
+    # results for 10**15 trials cannot be allocated; no pass is cut or run
+    def no_pass(*args):
+        raise AssertionError("a pass was cut")
+
+    monkeypatch.setattr(experiment, "_pass_trials", no_pass)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for workers in (1, 2):
+        with pytest.raises(MemoryError):
+            run_experiment(ExperimentConfig(trials=10**15, active_sizes=(2,)), workers=workers)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024  # KiB
 
 
 def test_run_experiment_leaves_numpy_ma_unimported():

@@ -14,6 +14,7 @@ from proxyvote import (
     validate_network,
 )
 from proxyvote.fileio import format_network
+from proxyvote.network import _floyd_picks
 
 
 def test_trust_value_examples():
@@ -98,6 +99,24 @@ def test_generate_targets_are_uniform_k_subsets(n, k):
     counts = counts[counts > 0]
     assert len(counts) == n * subsets
     assert np.all(np.abs(counts - 400) < 100), (counts.min(), counts.max())
+
+
+def test_floyd_picks_stay_in_range_at_the_edges():
+    # pick i of a row is floor(u * m) with m = n-k+i: the largest uniform
+    # below 1 must give m-1 and 0.0 must give 0.  The picks of one row see
+    # only k uniforms, so n runs to 2**31 with no n-sized array.  The cases
+    # cover every m up to 2**16 and every m within 2**12 of each power of two
+    # up to 2**31, where the spacing of doubles below m changes
+    top = np.nextafter(1.0, 0.0)
+    cases = [(2**16 + 1, 2**16), (2, 1), (3, 1), (3, 2)]
+    cases += [(2**e + 2**12, 2**13) for e in range(17, 32)]
+    rng = np.random.default_rng(2)
+    cases += [(int(n), int(k)) for n, k in zip(rng.integers(2**13, 2**31, 50),
+                                                  rng.integers(1, 2**13, 50))]
+    for n, k in cases:
+        m = np.arange(n - k, n)
+        picks = _floyd_picks(np.array([[top] * k, [0.0] * k]), n)
+        np.testing.assert_array_equal(picks, [m - 1, np.zeros(k)], err_msg=f"n={n}, k={k}")
 
 
 def test_generate_memory_is_linear_in_edges():
