@@ -11,6 +11,8 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
+import numpy as np
+
 from .delegation import WeightVector
 from .decisions import DecisionReport
 from .experiment import ExperimentConfig, ExperimentResult
@@ -23,6 +25,10 @@ RESULTS_HEADER = (
     "active_size,trials,mean_err_traditional,stderr_traditional,"
     "mean_err_weighted,stderr_weighted,stranded_fraction"
 )
+# the rows of a network file, and the bytes they may hold for the vectorised parse
+_NODE_ROW = np.dtype([("id", np.int64), ("opinion", np.float64)])
+_EDGE_ROW = np.dtype([("source", np.int64), ("target", np.int64), ("trust", np.float64)])
+_ROW_BYTES = b"0123456789+-.eE,\n"
 
 
 class NetworkFormatError(ValueError):
@@ -35,15 +41,15 @@ def fmt(x: float) -> str:
 
 
 def format_network(network: TrustNetwork) -> tuple[str, str]:
-    """Canonical (nodes_text, edges_text) for a network; raw trust is stored."""
-    nodes = [NODES_HEADER]
-    nodes += [f"{i},{fmt(v)}" for i, v in enumerate(network.opinions)]
-    edges = [EDGES_HEADER]
-    edges += [
-        f"{s},{t},{fmt(w)}"
-        for s, t, w in zip(network.edge_source, network.edge_target, network.raw_trust)
-    ]
-    return "\n".join(nodes) + "\n", "\n".join(edges) + "\n"
+    """Canonical (nodes_text, edges_text) for a network; raw trust is stored.
+    ``%.17g`` renders a float exactly as :func:`fmt` does."""
+    nodes = "".join(["%d,%.17g\n" % row for row in enumerate(network.opinions.tolist())])
+    edges = "".join([
+        "%d,%d,%.17g\n" % row
+        for row in zip(network.edge_source.tolist(), network.edge_target.tolist(),
+                       network.raw_trust.tolist())
+    ])
+    return f"{NODES_HEADER}\n{nodes}", f"{EDGES_HEADER}\n{edges}"
 
 
 def save_network(network: TrustNetwork, nodes_path: str | os.PathLike, edges_path: str | os.PathLike) -> None:
@@ -63,7 +69,60 @@ def load_network(
     (:func:`validate_network`) by node or edge id.  Edges are read only
     once the nodes file has no faults, so they are never checked against
     a broken node list.
+
+    A well-formed pair of files is read by one vectorised parse per file
+    (:func:`_parse_rows`); any other pair goes to the per-line reader,
+    which words every fault.
     """
+    network = _load_rows(nodes_path, edges_path)
+    if network is None:
+        network = _load_lines(nodes_path, edges_path)
+    return network, network.dangling_nodes()
+
+
+def _load_rows(nodes_path: str | os.PathLike, edges_path: str | os.PathLike) -> TrustNetwork | None:
+    """The network of two well-formed files, or None when either file has
+    a fault or a row that :func:`_parse_rows` does not take."""
+    nodes = _parse_rows(nodes_path, NODES_HEADER, _NODE_ROW)
+    if nodes is None or not np.array_equal(nodes["id"], np.arange(len(nodes))):
+        return None
+    edges = _parse_rows(edges_path, EDGES_HEADER, _EDGE_ROW)
+    if edges is None:
+        return None
+    try:
+        network = TrustNetwork(nodes["opinion"], edges["source"], edges["target"], edges["trust"])
+    except ValueError:  # an endpoint out of range or a repeated pair
+        return None
+    return None if validate_network(network) else network
+
+
+def _parse_rows(path: str | os.PathLike, header: str, row: np.dtype) -> np.ndarray | None:
+    """A file's rows as one structured array from one ``np.loadtxt`` call;
+    None unless the file's first line is the header, at least one row
+    follows, and the rows hold only the bytes in ``_ROW_BYTES``.
+
+    On those bytes ``loadtxt`` takes a row only where the per-line reader's
+    ``int`` and ``float`` take it, with the same values: both parse reals
+    with ``PyOS_string_to_double``, and both skip empty lines.  Other bytes
+    break that: ``loadtxt`` reads bytes 0x1c to 0x1f as whitespace and some
+    non-ASCII letters as digits, and it takes ``#`` as a comment unless
+    told not to.
+    """
+    head, _, body = _read_text(path).partition("\n")
+    if head != header or not body.isascii() or body.encode("ascii").translate(None, _ROW_BYTES):
+        return None
+    lines = body.split("\n")
+    if not any(lines):  # loadtxt warns on a file without rows
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", dtype=row, comments=None, ndmin=1)
+    except ValueError:  # a row with another field count, or a field that is no number
+        return None
+
+
+def _load_lines(nodes_path: str | os.PathLike, edges_path: str | os.PathLike) -> TrustNetwork:
+    """The per-line reader: the network, or :class:`NetworkFormatError`
+    naming every fault."""
     problems: list[str] = []
     opinions = _parse_nodes(nodes_path, problems)
     if problems or not opinions:
@@ -72,7 +131,7 @@ def load_network(
     problems += validate_network(network)
     if problems:
         raise NetworkFormatError("\n".join(problems))
-    return network, network.dangling_nodes()
+    return network
 
 
 def _body(path: str | os.PathLike, header: str, problems: list[str]) -> list[tuple[int, str]]:
@@ -249,11 +308,15 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
-def _read_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
-    """(line number, line) for each non-blank line of a file, counted from 1."""
+def _read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise NetworkFormatError(f"{path}: {exc.strerror or exc}") from exc
-    return [(lineno, line) for lineno, line in enumerate(raw.split("\n"), start=1) if line.strip()]
+
+
+def _read_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a file, counted from 1."""
+    return [(lineno, line) for lineno, line in enumerate(_read_text(path).split("\n"), start=1)
+            if line.strip()]

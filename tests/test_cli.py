@@ -144,6 +144,26 @@ def test_exit_code_validation_errors(four_node_paths, capsys):
     capsys.readouterr()
 
 
+def test_decide_hostile_files_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("n.csv").write_text("id,opinion\n0,0.5\n1,0.25\n2,0.75\n")
+    Path("e.csv").write_text("source,target,trust\n0,1,0.5\n1,2,0.5\n2,0,0.5\n")
+    Path("big_n.csv").write_text("id,opinion\n0,0.5\n1,0.25\n9223372036854775808,0.75\n")
+    Path("nan_e.csv").write_text("source,target,trust\n0,1,nan\n1,2,0.5\n2,0,0.5\n")
+    Path("hash_e.csv").write_text("source,target,trust\n0,1,0.5\n1,2,0.5#x\n2,0,0.5\n")
+    cases = [
+        ("big_n.csv", "e.csv", "error: big_n.csv: node ids must be dense 0..2; "
+                               "missing [2], unexpected [9223372036854775808]\n"),
+        ("n.csv", "nan_e.csv", "error: edge (0, 1): raw trust nan outside [0.0, 1.0]\n"),
+        ("n.csv", "hash_e.csv", "error: hash_e.csv:3: could not parse '1,2,0.5#x'\n"),
+    ]
+    for nodes, edges, err in cases:
+        assert run_cli("decide", "--nodes", nodes, "--edges", edges, "--active", "0") == 2
+        assert capsys.readouterr().err == err
+    assert run_cli("decide", "--nodes", "n.csv", "--edges", "e.csv", "--active", "0") == 0
+    capsys.readouterr()
+
+
 def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     from proxyvote import cli
 

@@ -6,6 +6,7 @@ from proxyvote import (
     StrandedPolicy,
     TrustNetwork,
     WeightVector,
+    analytic_traditional_error,
     compute_weights_exact,
     decision_error,
     decision_report,
@@ -127,3 +128,29 @@ def test_empty_network_rejected():
     empty = TrustNetwork([], [], [], [])
     with pytest.raises(ValueError, match="out of range for 0-node network"):
         decision_report(empty, ActiveSet([0]), WeightVector(weights={0: 0.0}))
+
+
+@pytest.mark.parametrize("size", [10, 20])
+def test_opinion_blind_weighted_error_matches_effective_sample_formula(size):
+    # With every raw trust 1 the weights ignore the opinions, so the weighted
+    # error has the traditional closed form with Kish's effective sample size
+    # n^2 / sum(w^2) in place of a: per trial sqrt(2/pi) * sqrt((1/12) *
+    # (sum(w^2)/n^2 - 1/n)).  Over 24 seeds of 1,000 trials at each of a = 10
+    # and 20 the mean error lay within 2.9 standard errors of the mean
+    # prediction; over 12 of them it lay 5.8 to 8.3 above the traditional
+    # formula, whose effective size is a.
+    n, trials = 100, 1000
+    rng = np.random.default_rng([16, size])
+    errors, predicted = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        net = generate_network(n, 3, rng)
+        blind = TrustNetwork(net.opinions, net.edge_source, net.edge_target,
+                             np.ones(net.edge_count))
+        active = ActiveSet(rng.choice(n, size, replace=False))
+        weights = compute_weights_exact(blind, active, StrandedPolicy.UNIFORM_TO_ACTIVE)
+        errors[t] = decision_report(blind, active, weights).error_weighted
+        w = np.fromiter(weights.weights.values(), dtype=np.float64)
+        predicted[t] = np.sqrt(2 / np.pi) * np.sqrt((w @ w / n**2 - 1 / n) / 12)
+    stderr = errors.std(ddof=1) / np.sqrt(trials)
+    assert abs(errors.mean() - predicted.mean()) < 3.5 * stderr
+    assert errors.mean() - analytic_traditional_error(size, n) > 3.5 * stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyvote import (
     ActiveSet,
@@ -135,6 +137,98 @@ def test_load_rejects_invariant_violations(tmp_path):
 def test_missing_file_is_format_error(tmp_path):
     with pytest.raises(fileio.NetworkFormatError):
         fileio.load_network(tmp_path / "absent.csv", tmp_path / "absent2.csv")
+
+
+# Line mutations of a saved network file.  Each takes the file's lines, the
+# index of one body row, the network's size n, and returns new lines.
+def _set_field(col, value):
+    def mutate(lines, i, n):
+        parts = lines[i].split(",")
+        parts[col] = value(parts[col], n)
+        return lines[:i] + [",".join(parts)] + lines[i + 1:]
+    return mutate
+
+
+def _insert(text):
+    return lambda lines, i, n: lines[:i] + [text] + lines[i:]
+
+
+_MUTATIONS = {
+    "blank line": _insert(""),
+    "whitespace line": _insert(" \t "),
+    "hash suffix": lambda lines, i, n: lines[:i] + [lines[i] + "#x"] + lines[i + 1:],
+    "spaces around fields":
+        lambda lines, i, n: lines[:i] + [f" {lines[i].replace(',', ' , ')} "] + lines[i + 1:],
+    "information separator": lambda lines, i, n: lines[:i] + [lines[i] + "\x1c"] + lines[i + 1:],
+    "plus id": _set_field(0, lambda v, n: "+" + v),
+    "underscore id": _set_field(0, lambda v, n: v[0] + "_" + v[1:] if len(v) > 1 else "0_" + v),
+    "float id": _set_field(0, lambda v, n: v + ".0"),
+    "non-ascii id": _set_field(0, lambda v, n: "\u0661"),
+    "id beyond int64": _set_field(0, lambda v, n: str(2**63 + int(v))),
+    "negative id": _set_field(0, lambda v, n: "-1"),
+    "id past n": _set_field(0, lambda v, n: str(n)),
+    "nan value": _set_field(-1, lambda v, n: "nan"),
+    "inf value": _set_field(-1, lambda v, n: "inf"),
+    "overflowing value": _set_field(-1, lambda v, n: "1e400"),
+    "underscore value": _set_field(-1, lambda v, n: "0_0.5"),
+    "value above one": _set_field(-1, lambda v, n: "1.5"),
+    "missing field": lambda lines, i, n: lines[:i] + [lines[i].rpartition(",")[0]] + lines[i + 1:],
+    "extra field": lambda lines, i, n: lines[:i] + [lines[i] + ",0.5"] + lines[i + 1:],
+    "duplicate row": lambda lines, i, n: lines[:i] + [lines[i]] + lines[i:],
+    "swapped rows": lambda lines, i, n: lines[:i] + lines[i:i + 2][::-1] + lines[i + 2:],
+    "dropped row": lambda lines, i, n: lines[:i] + lines[i + 1:],
+    "self-loop": _set_field(1, lambda v, n: "0"),
+}
+
+
+def _outcome(load, nodes, edges):
+    """The network ``load`` returns, or the text of the error it raises."""
+    try:
+        return load(nodes, edges)
+    except fileio.NetworkFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_load_matches_the_per_line_reader(tmp_path_factory, data):
+    # the vectorised parse returns a network only where the per-line reader
+    # returns the same one; every other file gets the per-line reader's error
+    n = data.draw(st.integers(2, 12), label="n")
+    network = generate_network(n, data.draw(st.integers(1, min(3, n - 1))),
+                               np.random.default_rng(data.draw(st.integers(0, 2**16))))
+    directory = tmp_path_factory.mktemp("mutated")
+    nodes, edges = directory / "nodes.csv", directory / "edges.csv"
+    fileio.save_network(network, nodes, edges)
+    texts = {path: path.read_text().splitlines() for path in (nodes, edges)}
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        path = data.draw(st.sampled_from((nodes, edges)))
+        lines = texts[path]
+        if len(lines) < 2:
+            continue
+        name = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="mutation")
+        texts[path] = _MUTATIONS[name](lines, data.draw(st.integers(1, len(lines) - 1)), n)
+    if data.draw(st.booleans(), label="permute node rows"):
+        body = texts[nodes][1:]
+        texts[nodes] = texts[nodes][:1] + data.draw(st.permutations(body))
+    newline = data.draw(st.sampled_from(("\n", "\r\n")), label="newline")
+    for path, lines in texts.items():
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+    expected = _outcome(fileio._load_lines, nodes, edges)
+    fast = fileio._load_rows(nodes, edges)
+    assert fast is None or fast == expected
+    assert _outcome(lambda a, b: fileio.load_network(a, b)[0], nodes, edges) == expected
+
+
+def test_saved_networks_take_the_vectorised_parse(tmp_path, fixtures_dir):
+    # a file load_network reads with the per-line reader would also pass the
+    # differential test, so check that saved files do take the fast path
+    net = generate_network(30, 3, np.random.default_rng(5))
+    fileio.save_network(net, tmp_path / "n.csv", tmp_path / "e.csv")
+    assert fileio._load_rows(tmp_path / "n.csv", tmp_path / "e.csv") == net
+    four = fixtures_dir / "four_node"
+    assert fileio._load_rows(four / "nodes.csv", four / "edges.csv") == four_node_network()
 
 
 def test_format_weights():
