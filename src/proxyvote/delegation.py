@@ -187,12 +187,13 @@ def _weight_vector(
     config: PropagationConfig | None = None,
 ) -> WeightVector:
     """:func:`_absorb` on a batch of one; ``config`` None selects the exact solve.
-    The partition validates ``active`` and is the solve's traced search step
-    (``bench/traced.py``); ``_absorb`` repeats it, O(D * E) beside the solve."""
-    reachability_partition(network, active)
+    The partition validates ``active`` and is the solve's one search, traced
+    as its own step (``bench/traced.py``)."""
+    reached = np.ones((1, network.n), dtype=bool)
+    reached[0, reachability_partition(network, active).stranded] = False
     weights, mass, sweeps = _absorb(
         network.n, network.edge_source, network.edge_target, network.normalized_trust,
-        active.ids[None], policy, config,
+        active.ids[None], reached, policy, config,
     )
     return WeightVector(dict(zip(active.ids.tolist(), weights[0].tolist())), float(mass[0]),
                         None if config is None else int(sweeps[0]))
@@ -220,13 +221,13 @@ def _reach(src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarra
 
 def _absorb(
     n: int, src: np.ndarray, tgt: np.ndarray, norm: np.ndarray, active: np.ndarray,
-    policy: StrandedPolicy, config: PropagationConfig | None = None,
+    reached: np.ndarray, policy: StrandedPolicy, config: PropagationConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delegation weights of B trials of n nodes each (node v of trial b
     is b*n + v in the edge arrays); ``active`` (B, A) holds each trial's
-    sorted active ids.  One reverse search over the whole pass finds the
-    nodes that reach no active node, whose trust ``policy`` rejects or
-    splits evenly over the weights.  Given a sweep ``config``, all trials
+    sorted active ids and ``reached`` (B, n) marks the nodes that reach one
+    (:func:`_reach`).  ``policy`` rejects the trust of the other nodes or
+    splits it evenly over the weights.  Given a sweep ``config``, all trials
     sweep their live edges together, each until its residual is below the
     tolerance or its tail closes; otherwise each group of equal
     transient count T takes one stacked adjoint solve, and one bincount
@@ -235,7 +236,6 @@ def _absorb(
     """
     b, a = active.shape
     rows = np.arange(b)[:, None]
-    reached = _reach(src, tgt, norm, (active + rows * n).ravel(), b * n).reshape(b, n)
     if policy is StrandedPolicy.REJECT and not reached.all():
         raise StrandedTrustError(np.flatnonzero(~reached[reached.all(axis=1).argmin()]).tolist())
     is_active = np.zeros((b, n), dtype=bool)

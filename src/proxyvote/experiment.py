@@ -15,10 +15,10 @@ One kernel runs every trial, in passes of one size's trials sized by
 would: its network as one ``rng.random(n * (k + 1))`` call, then its
 active set.  The rest runs on arrays with a leading trial axis: the
 pass's (B, n * (k + 1)) uniforms become opinions, picks and targets in
-one go (``_draw_targets``), and ``_absorb`` searches and solves the pass as
-one graph of disjoint copies, trials with equal transient count T sharing
-one stacked (G, T, T) solve.  Each trial's bits are those of the trial
-run alone.
+one go (``_draw_targets``), and ``_reach`` searches and ``_absorb`` solves
+the pass as one graph of disjoint copies, trials with equal transient
+count T sharing one stacked (G, T, T) solve.  Each trial's bits are those
+of the trial run alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .decisions import _decide, decision_error
-from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb
+from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
 from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
@@ -211,7 +211,8 @@ def _kernel(
         src, tgt = (network.edge_source + offset).ravel(), (network.edge_target + offset).ravel()
         norm = np.tile(network.normalized_trust, b)
     sweeps = config.propagation if config.solver == "iterative" else None
-    weights, mass, _ = _absorb(n, src, tgt, norm, active,
+    reached = _reach(src, tgt, norm, (active + offset).ravel(), b * n).reshape(b, n)
+    weights, mass, _ = _absorb(n, src, tgt, norm, active, reached,
                                config.propagation.stranded_policy, sweeps)
     outcome, expected, weighted = _decide(opinions, active, weights)
     err_t, err_w = decision_error(outcome, expected), decision_error(weighted, expected)

@@ -134,33 +134,32 @@ def _load_lines(nodes_path: str | os.PathLike, edges_path: str | os.PathLike) ->
     return network
 
 
-def _body(path: str | os.PathLike, header: str, problems: list[str]) -> list[tuple[int, str]]:
-    """The numbered lines after a file's header; none, with a problem noted,
-    when the first non-blank line is not that header."""
+def _rows(path: str | os.PathLike, header: str, types: tuple, problems: list[str]):
+    """Yield (line number, *fields) per row after a file's header, each field
+    converted by its type; a bad header, field count or field is noted in
+    ``problems`` instead.  One row at a time, so notes stay in line order."""
     lines = _read_lines(path)
-    if lines and lines[0][1] == header:
-        return lines[1:]
-    problems.append(f"{path}:{lines[0][0] if lines else 1}: expected header {header!r}")
-    return []
+    if not lines or lines[0][1] != header:
+        problems.append(f"{path}:{lines[0][0] if lines else 1}: expected header {header!r}")
+        return
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(types):
+            problems.append(f"{path}:{lineno}: expected {header!r}, got {line!r}")
+            continue
+        try:  # the caller's own errors never reach this generator
+            yield lineno, *[convert(part) for convert, part in zip(types, parts)]
+        except ValueError:
+            problems.append(f"{path}:{lineno}: could not parse {line!r}")
 
 
 def _parse_nodes(path: str | os.PathLike, problems: list[str]) -> list[float]:
     seen: dict[int, float] = {}
-    for lineno, line in _body(path, NODES_HEADER, problems):
-        parts = line.split(",")
-        if len(parts) != 2:
-            problems.append(f"{path}:{lineno}: expected 'id,opinion', got {line!r}")
-            continue
-        try:
-            node = int(parts[0])
-            value = float(parts[1])
-        except ValueError:
-            problems.append(f"{path}:{lineno}: could not parse {line!r}")
-            continue
+    for lineno, node, value in _rows(path, NODES_HEADER, (int, float), problems):
         if node in seen:
             problems.append(f"{path}:{lineno}: duplicate node id {node}")
-            continue
-        seen[node] = value
+        else:
+            seen[node] = value
     n = len(seen)
     missing = sorted(set(range(n)) - set(seen))
     extra = sorted(i for i in seen if not 0 <= i < n)
@@ -177,29 +176,14 @@ def _parse_edges(
 ) -> tuple[list[int], list[int], list[float]]:
     src, tgt, raw = [], [], []
     seen: set[tuple[int, int]] = set()
-    for lineno, line in _body(path, EDGES_HEADER, problems):
-        parts = line.split(",")
-        if len(parts) != 3:
-            problems.append(f"{path}:{lineno}: expected 'source,target,trust', got {line!r}")
-            continue
-        try:
-            source, target = int(parts[0]), int(parts[1])
-            trust = float(parts[2])
-        except ValueError:
-            problems.append(f"{path}:{lineno}: could not parse {line!r}")
-            continue
-        row_ok = True
-        for label, node in (("source", source), ("target", target)):
-            if not 0 <= node < n:
-                problems.append(
-                    f"{path}:{lineno}: {label} node {node} out of range for {n}-node network"
-                )
-                row_ok = False
+    for lineno, source, target, trust in _rows(path, EDGES_HEADER, (int, int, float), problems):
+        faults = [f"{path}:{lineno}: {label} node {node} out of range for {n}-node network"
+                  for label, node in (("source", source), ("target", target)) if not 0 <= node < n]
         if (source, target) in seen:
-            problems.append(f"{path}:{lineno}: duplicate edge ({source}, {target})")
-            row_ok = False
+            faults.append(f"{path}:{lineno}: duplicate edge ({source}, {target})")
         seen.add((source, target))
-        if row_ok:
+        problems += faults
+        if not faults:
             src.append(source)
             tgt.append(target)
             raw.append(trust)
@@ -277,30 +261,20 @@ def parse_config_file(path: str | os.PathLike, allowed: Iterable[str]) -> dict[s
 
 def parse_id_list(text: str) -> list[int]:
     """Comma-separated node ids; empty entries are ignored."""
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(int(piece))
-        except ValueError:
-            raise NetworkFormatError(f"could not parse node id {piece!r}") from None
-    return out
+    return [_node_id(piece) for piece in map(str.strip, text.split(",")) if piece]
 
 
 def load_id_file(path: str | os.PathLike) -> list[int]:
     """One node id per line; blank lines and ``#`` comments are ignored."""
-    out = []
-    for lineno, line in _read_lines(path):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        try:
-            out.append(int(stripped))
-        except ValueError:
-            raise NetworkFormatError(f"{path}:{lineno}: could not parse node id {stripped!r}") from None
-    return out
+    return [_node_id(line.strip(), f"{path}:{lineno}: ") for lineno, line in _read_lines(path)
+            if not line.strip().startswith("#")]
+
+
+def _node_id(text: str, where: str = "") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise NetworkFormatError(f"{where}could not parse node id {text!r}") from None
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
@@ -312,8 +286,8 @@ def _read_text(path: str | os.PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise NetworkFormatError(f"{path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        raise NetworkFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _read_lines(path: str | os.PathLike) -> list[tuple[int, str]]:

@@ -164,6 +164,24 @@ def test_decide_hostile_files_exit_2(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_file_names_itself(four_node_paths, tmp_path, capsys):
+    nodes, edges = four_node_paths
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"id,opinion\n0,0.5\xff\n")
+    fault = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte\n"
+    dangling = "warning: dangling nodes (no outgoing trust): [2, 3]\n"
+    calls = [  # (arguments, stdout, stderr)
+        (("validate", "--nodes", str(bad), "--edges", edges), fault, ""),
+        (("decide", "--nodes", str(bad), "--edges", edges, "--active", "0"), "", "error: " + fault),
+        (("decide", "--nodes", nodes, "--edges", edges, "--active-file", str(bad)),
+         "", dangling + "error: " + fault),
+        (("simulate", "--config", str(bad)), "", "error: " + fault),
+    ]
+    for args, out, err in calls:
+        assert run_cli(*args) == 2
+        assert capsys.readouterr() == (out, err)
+
+
 def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     from proxyvote import cli
 

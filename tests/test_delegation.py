@@ -526,9 +526,12 @@ def test_iterative_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, b
         src = np.concatenate([nets[i].edge_source + j * n for j, i in enumerate(trials)])
         tgt = np.concatenate([nets[i].edge_target + j * n for j, i in enumerate(trials)])
         norm = np.concatenate([nets[i].normalized_trust for i in trials])
+        offset = np.arange(len(trials))[:, None] * n
+        reached = delegation._reach(src, tgt, norm, (active[trials] + offset).ravel(),
+                                    len(trials) * n).reshape(-1, n)
         try:
-            return delegation._absorb(n, src, tgt, norm, active[trials], config.stranded_policy,
-                                      config)
+            return delegation._absorb(n, src, tgt, norm, active[trials], reached,
+                                      config.stranded_policy, config)
         except NoConvergenceError:
             return None
 

@@ -221,6 +221,33 @@ def test_load_matches_the_per_line_reader(tmp_path_factory, data):
     assert _outcome(lambda a, b: fileio.load_network(a, b)[0], nodes, edges) == expected
 
 
+def test_per_line_faults_keep_line_order(tmp_path):
+    # a row's own notes (duplicate, range, repeated edge) come in line order
+    # among the parse notes, then the value faults; texts from the reader
+    # that checked each row as it was read
+    def fault(nodes_text, edges_text):
+        (tmp_path / "n.csv").write_text(nodes_text)
+        (tmp_path / "e.csv").write_text(edges_text)
+        with pytest.raises(fileio.NetworkFormatError) as caught:
+            fileio.load_network(tmp_path / "n.csv", tmp_path / "e.csv")
+        return str(caught.value).replace(str(tmp_path), "<d>")
+
+    assert fault("id,opinion\n0,0.5\n1,0.5\n1,0.25\n2,half\n\n3,0.5,0.1\n",
+                 "source,target,trust\n") == (
+        "<d>/n.csv:4: duplicate node id 1\n"
+        "<d>/n.csv:5: could not parse '2,half'\n"
+        "<d>/n.csv:7: expected 'id,opinion', got '3,0.5,0.1'"
+    )
+    assert fault("id,opinion\n0,0.5\n1,0.5\n2,0.5\n",
+                 "source,target,trust\n0,5,0.5\n1,x,0.5\n0,5,0.5\n2,0,nan\n") == (
+        "<d>/e.csv:2: target node 5 out of range for 3-node network\n"
+        "<d>/e.csv:3: could not parse '1,x,0.5'\n"
+        "<d>/e.csv:4: target node 5 out of range for 3-node network\n"
+        "<d>/e.csv:4: duplicate edge (0, 5)\n"
+        "edge (2, 0): raw trust nan outside [0.0, 1.0]"
+    )
+
+
 def test_saved_networks_take_the_vectorised_parse(tmp_path, fixtures_dir):
     # a file load_network reads with the per-line reader would also pass the
     # differential test, so check that saved files do take the fast path
