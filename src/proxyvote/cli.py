@@ -117,13 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -234,7 +230,8 @@ def _cmd_simulate(args) -> int:
 
     values = fileio.parse_config_file(args.config, _CONFIG_KEYS) if args.config else {}
 
-    def pick(flag, key, convert, default):
+    def pick(key, convert, default):
+        flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             return flag
         if key in values:
@@ -242,34 +239,30 @@ def _cmd_simulate(args) -> int:
         return default
 
     network = _load(args.nodes, args.edges) if injected else None
-    n = network.n if injected else pick(args.n, "n", int, _EXPERIMENT.n)
-    k = None if injected else pick(args.k, "k", int, _EXPERIMENT.k)
-    sizes = pick(args.sizes, "sizes", str, None)
+    n = network.n if injected else pick("n", int, _EXPERIMENT.n)
+    k = None if injected else pick("k", int, _EXPERIMENT.k)
+    sizes = pick("sizes", str, None)
     if sizes is None:
         # default grid capped to the population: sizes below n, then n itself
         sizes = [s for s in _EXPERIMENT.active_sizes if s < n] + [n]
     else:
         sizes = fileio.parse_id_list(sizes)
-    policy_name = pick(args.stranded_policy, "stranded-policy", str,
-                       _EXPERIMENT.propagation.stranded_policy.value)
+    policy_name = pick("stranded-policy", str, _EXPERIMENT.propagation.stranded_policy.value)
     if policy_name not in _POLICIES:
         raise ValueError(f"unknown stranded policy {policy_name!r}")
-    solver = pick(args.solver, "solver", str, _EXPERIMENT.solver)
-    fixed = injected or bool(pick(args.fixed_network, "fixed-network", _parse_bool,
-                                  not _EXPERIMENT.fresh_network_per_trial))
-    workers = pick(args.workers, "workers", int, 1)
+    solver = pick("solver", str, _EXPERIMENT.solver)
+    fixed = injected or pick("fixed-network", _parse_bool, not _EXPERIMENT.fresh_network_per_trial)
+    workers = pick("workers", int, 1)
 
     config = ExperimentConfig(
         n=n,
         k=k,
-        trials=pick(args.trials, "trials", int, _EXPERIMENT.trials),
+        trials=pick("trials", int, _EXPERIMENT.trials),
         active_sizes=tuple(sizes),
-        master_seed=pick(args.seed, "seed", int, _EXPERIMENT.master_seed),
+        master_seed=pick("seed", int, _EXPERIMENT.master_seed),
         propagation=PropagationConfig(
-            tolerance=pick(args.tolerance, "tolerance", float,
-                           _EXPERIMENT.propagation.tolerance),
-            max_iterations=pick(args.max_iterations, "max-iterations", int,
-                                _EXPERIMENT.propagation.max_iterations),
+            tolerance=pick("tolerance", float, _EXPERIMENT.propagation.tolerance),
+            max_iterations=pick("max-iterations", int, _EXPERIMENT.propagation.max_iterations),
             stranded_policy=StrandedPolicy(policy_name),
         ),
         fresh_network_per_trial=not fixed,

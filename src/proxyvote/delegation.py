@@ -251,13 +251,14 @@ def _absorb(
     weights, leaked, sweeps = np.ones((b, a)), np.zeros(b), np.zeros(b, dtype=np.int64)
     stranded_count = n - a - t_count
     trial = src // n
+    # a flow, a sweep's or the exact solve's, is one bincount of every live
+    # edge into its bin of [next mobile (B*n) | per trial: weights (A), leak (1)]
+    into_t, bins = transient[tgt], b * (n + a + 1)
+    dest = np.where(into_t, tgt, b * n + trial * (a + 1)
+                    + np.where(is_active[tgt], position[tgt], a))
     if config is not None:
-        # a sweep is one bincount of every live edge's flow into its bin of
-        # [next mobile (B*n) | per trial: weights (A), leak (1)]; a trial
-        # whose residual drops below the tolerance, or whose tail closes,
-        # stops and its edges leave the arrays, so it gets the bits it gets alone
-        to_bins = b * n + trial * (a + 1)
-        dest = np.where(transient[tgt], tgt, to_bins + np.where(is_active[tgt], position[tgt], a))
+        # a trial whose residual drops below the tolerance, or whose tail
+        # closes, stops and its edges leave the arrays, so it gets the bits it gets alone
         absorbed = np.hstack((weights, leaked[:, None]))
         mobile, residual = transient.astype(float), t_count.astype(float)
         running, iterations = np.ones(b, dtype=bool), 0
@@ -299,7 +300,7 @@ def _absorb(
                         f"residual mobile trust {float(residual[running.argmax()])!r} after "
                         f"{iterations} sweeps (tolerance {config.tolerance!r})"
                     )
-                flow = np.bincount(dest, weights=mobile[src] * w, minlength=b * (n + a + 1))
+                flow = np.bincount(dest, weights=mobile[src] * w, minlength=bins)
                 new = flow[b * n:].reshape(b, a + 1)
                 absorbed += new
                 pairs, took = pairs[1:] + [took + new], new
@@ -315,9 +316,9 @@ def _absorb(
         weights, leaked = absorbed[:, :a], absorbed[:, a]
     else:
         # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units
-        # to t (Kemeny and Snell), so active a absorbs y[t] * w over edge t -> a;
-        # visits[trial, position of t] holds y[t]
-        visits, into_t = np.zeros((b, n)), transient[tgt]
+        # to t (Kemeny and Snell), so one flow of y adds what every sweep would:
+        # active a absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds y[t]
+        visits = np.zeros((b, n))
         counts = np.flatnonzero(np.bincount(t_count))
         for t in counts[counts > 0]:
             if t * t * 8 > EXACT_BLOCK_BYTES:
@@ -336,12 +337,11 @@ def _absorb(
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
             visits[group, :t] = y[..., 0]
-        into_a = is_active[tgt]
-        absorbed_by = np.bincount(trial[into_a] * a + position[tgt[into_a]], minlength=b * a,
-                                  weights=visits[trial[into_a], position[src[into_a]]] * w[into_a])
-        weights += absorbed_by.reshape(b, a)
+        flow = np.bincount(dest, weights=visits[trial, position[src]] * w, minlength=bins)
+        absorbed_by = flow[b * n:].reshape(b, a + 1)[:, :a]
+        weights += absorbed_by
         # each transient unit ends absorbed or stranded, so the solve's leftover leaks
-        absorbed = absorbed_by.reshape(b, a).sum(axis=1)
+        absorbed = absorbed_by.sum(axis=1)
         lost = t_count - absorbed
         # written so that a NaN leak (a subnormal pivot) fails too
         bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count == 0) & (lost > CONSERVATION_TOL))

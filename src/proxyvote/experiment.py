@@ -119,11 +119,6 @@ class ExperimentResult:
     config: ExperimentConfig
 
 
-def _trial_rng(config: ExperimentConfig, active_size: int, trial_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([config.master_seed, active_size, trial_index])
-    return np.random.default_rng(seq)
-
-
 def _trial_network(config: ExperimentConfig, network: TrustNetwork | None) -> TrustNetwork | None:
     """The network all trials share: ``network`` if injected, one drawn from
     the master seed in fixed mode, None when each trial draws its own."""
@@ -195,7 +190,7 @@ def _kernel(
     uniforms = np.empty((b, n * (k + 1))) if network is None else None
     active = []
     for j, i in enumerate(range(lo, hi)):
-        rng = _trial_rng(config, size, i)
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, size, i]))
         if network is None:
             rng.random(out=uniforms[j])
         active.append(rng.choice(n, size=size, replace=False))

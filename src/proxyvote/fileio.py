@@ -15,7 +15,7 @@ import numpy as np
 
 from .delegation import WeightVector
 from .decisions import DecisionReport
-from .experiment import ExperimentConfig, ExperimentResult
+from .experiment import ExperimentResult
 from .network import TrustNetwork, validate_network
 
 NODES_HEADER = "id,opinion"
@@ -212,9 +212,10 @@ def format_report(report: DecisionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_echo(config: ExperimentConfig) -> list[str]:
-    policy = config.propagation.stranded_policy.value
-    return [
+def format_results(result: ExperimentResult) -> str:
+    """``# k=`` is echoed only when the config has a k: an injected network has none."""
+    config = result.config
+    lines = [
         f"# n={config.n}",
         *([f"# k={config.k}"] if config.k is not None else []),
         f"# trials={config.trials}",
@@ -222,16 +223,11 @@ def _config_echo(config: ExperimentConfig) -> list[str]:
         f"# seed={config.master_seed}",
         f"# fresh-network={'false' if not config.fresh_network_per_trial else 'true'}",
         f"# solver={config.solver}",
-        f"# stranded-policy={policy}",
+        f"# stranded-policy={config.propagation.stranded_policy.value}",
         f"# tolerance={fmt(config.propagation.tolerance)}",
         f"# max-iterations={config.propagation.max_iterations}",
+        RESULTS_HEADER,
     ]
-
-
-def format_results(result: ExperimentResult) -> str:
-    """``# k=`` is echoed only when the config has a k: an injected network has none."""
-    lines = _config_echo(result.config)
-    lines.append(RESULTS_HEADER)
     for row in result.rows:
         lines.append(
             f"{row.active_size},{row.trials},{fmt(row.mean_err_traditional)},"

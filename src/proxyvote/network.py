@@ -65,9 +65,6 @@ class ActiveSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.ids.tolist())
 
-    def __contains__(self, node: object) -> bool:
-        return node in self.ids.tolist()
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ActiveSet):
             return np.array_equal(self.ids, other.ids)

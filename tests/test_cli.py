@@ -435,12 +435,14 @@ def test_simulate_fixed_network_flag(capsys):
 
 def test_module_entry_point(four_node_paths):
     nodes, edges = four_node_paths
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "proxyvote", "decide", "--nodes", nodes,
          "--edges", edges, "--active", "2,3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "weighted_group_decision" in proc.stdout
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from proxyvote import (
     ActiveSet,
+    DelegationError,
     NoConvergenceError,
     PropagationConfig,
     SingularSystemError,
@@ -509,11 +510,12 @@ def test_iterative_solve_memory_is_linear_in_edges():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 2**16),
-       st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]))
-def test_iterative_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget):
+       st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]), st.booleans())
+def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact):
     # trials of one pass that stop after different sweep counts, or sweep
-    # not at all, leave each other's weights, masses and counts alone;
-    # zero-trust edges vary the transient count from trial to trial
+    # not at all, or share a stacked exact solve, leave each other's weights,
+    # masses and counts alone; zero-trust edges vary the transient count from
+    # trial to trial
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, n + 1))
     nets = [generate_network(n, int(rng.integers(1, n)), rng) for _ in range(b)]
@@ -531,8 +533,8 @@ def test_iterative_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, b
                                     len(trials) * n).reshape(-1, n)
         try:
             return delegation._absorb(n, src, tgt, norm, active[trials], reached,
-                                      config.stranded_policy, config)
-        except NoConvergenceError:
+                                      config.stranded_policy, None if exact else config)
+        except DelegationError:
             return None
 
     batch, singles = absorb(list(range(b))), [absorb([i]) for i in range(b)]

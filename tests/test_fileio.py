@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,9 +144,14 @@ def test_missing_file_is_format_error(tmp_path):
 # Line mutations of a saved network file.  Each takes the file's lines, the
 # index of one body row, the network's size n, and returns new lines.
 def _set_field(col, value):
+    # a row that an earlier mutation left without the field, or with a field
+    # that is not the integer ``value`` needs, is left as it is
     def mutate(lines, i, n):
         parts = lines[i].split(",")
-        parts[col] = value(parts[col], n)
+        try:
+            parts[col] = value(parts[col], n)
+        except (IndexError, ValueError):
+            return lines
         return lines[:i] + [",".join(parts)] + lines[i + 1:]
     return mutate
 
@@ -179,6 +186,16 @@ _MUTATIONS = {
     "dropped row": lambda lines, i, n: lines[:i] + lines[i + 1:],
     "self-loop": _set_field(1, lambda v, n: "0"),
 }
+
+
+def test_mutations_compose(tmp_path):
+    # the draws below may stack mutations on one row; no pair of them raises
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    fileio.save_network(generate_network(3, 2, np.random.default_rng(0)), nodes, edges)
+    for path in (nodes, edges):
+        lines = path.read_text().splitlines()
+        for first, second in itertools.product(_MUTATIONS.values(), repeat=2):
+            second(first(lines, 1, 3), 1, 3)
 
 
 def _outcome(load, nodes, edges):

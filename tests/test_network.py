@@ -247,6 +247,7 @@ def test_active_set_invariants():
     assert active.ids.tolist() == [1, 3] and active.ids.dtype == np.int64
     assert not active.ids.flags.writeable
     assert list(active) == [1, 3] and 3 in active and 2 not in active
+    assert 3.0 in active and np.int64(1) in active
     assert active == ActiveSet([1, 3]) and hash(active) == hash(frozenset({1, 3}))
     active.validate_for(4)
     with pytest.raises(ValueError):
