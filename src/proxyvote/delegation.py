@@ -34,6 +34,8 @@ from .network import ActiveSet, TrustNetwork
 CONSERVATION_TOL = 1e-6
 #: byte limit of one trial's T x T block in the exact solve; a larger one raises MemoryError
 EXACT_BLOCK_BYTES = 2**30
+#: byte budget of a kernel pass and of a T x T block solved without elimination (README)
+_PASS_BYTES = 2**20
 
 
 class DelegationError(Exception):
@@ -177,7 +179,8 @@ def compute_weights_exact(
     absorbed mass misses the transient count by more than
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
     :class:`SingularSystemError`.  A T x T block over ``EXACT_BLOCK_BYTES``
-    (T > 11,585) raises MemoryError before it is allocated.
+    (T > 11,585) raises MemoryError before it is allocated; one over 1 MiB
+    (T > 362) first eliminates its nodes of one transient predecessor or none.
     """
     return _weight_vector(network, active, stranded_policy)
 
@@ -229,10 +232,10 @@ def _absorb(
     (:func:`_reach`).  ``policy`` rejects the trust of the other nodes or
     splits it evenly over the weights.  Given a sweep ``config``, all trials
     sweep their live edges together, each until its residual is below the
-    tolerance or its tail closes; otherwise each group of equal
-    transient count T takes one stacked adjoint solve, and one bincount
-    adds the flows.  Returns (weights (B, A), stranded mass (B,), sweeps
-    used (B,)).
+    tolerance or its tail closes; otherwise each group of equal transient
+    count T (core count, for T > 362) takes one stacked adjoint solve, and
+    one bincount adds the flows.  Returns (weights (B, A), stranded mass
+    (B,), sweeps used (B,)).
     """
     b, a = active.shape
     rows = np.arange(b)[:, None]
@@ -315,28 +318,66 @@ def _absorb(
                 before, last = last, residual
         weights, leaked = absorbed[:, :a], absorbed[:, a]
     else:
-        # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units
-        # to t (Kemeny and Snell), so one flow of y adds what every sweep would:
-        # active a absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds y[t]
-        visits = np.zeros((b, n))
+        # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units to t
+        # (Kemeny and Snell), so one flow of y adds what every sweep would: active a
+        # absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds rhs[t], then y[t]
+        visits, nodes = np.ones((b, n)), b * n
         counts = np.flatnonzero(np.bincount(t_count))
-        for t in counts[counts > 0]:
-            if t * t * 8 > EXACT_BLOCK_BYTES:
-                raise MemoryError(f"the exact solve of {t} transient nodes needs over "
-                                  f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
+        if (top := int(counts[-1])) ** 2 * 8 > EXACT_BLOCK_BYTES:
             # the guard is per trial: a caller batching trials keeps their stack small
-            group = np.flatnonzero(t_count == t)
-            mine = into_t & (t_count[trial] == t)
+            raise MemoryError(f"the exact solve of {top} transient nodes needs over "
+                              f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
+        qs, qt, qw, qtrial, inside, c_count, steps = src, tgt, w, trial, into_t, t_count, []
+        if top * top * 8 > _PASS_BYTES:
+            # a trial over the pass budget first eliminates, round by round, each v whose in-edges
+            # all come from one u (or none) not eliminated with it (README): edge v -> z adds
+            # q(v, z) rhs[v] / d[v] to rhs[z] and becomes u -> z of q(u, v) q(v, z) / d[v] (z = u: off d[u])
+            gated = np.repeat(t_count ** 2 * 8 > _PASS_BYTES, n)
+            core, rhs, d = transient.copy(), *np.ones((2, nodes))
+            qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
+            while True:
+                first = np.full(nodes, -1)
+                first[qt] = qs
+                one = core & gated & (np.bincount(qt[first[qt] != qs], minlength=nodes) == 0)
+                gone = one & (np.bincount(qt[one[qs]], minlength=nodes) == 0)
+                if not gone.any():
+                    break
+                if not (d[gone] > 0.0).all():
+                    raise SingularSystemError(f"absorption system reported singular: pivot {d[gone].min()}")
+                into, out = gone[qt], gone[qs]
+                steps.append((gone, qs[into], qt[into], qw[into]))
+                v, z = qs[out], qt[out]
+                u, share = first[v], qw[out] / d[v]
+                rhs += np.bincount(z, share * rhs[v], nodes)
+                share *= np.bincount(qt[into], qw[into], nodes)[v]
+                d -= np.bincount(z[u == z], share[u == z], nodes)
+                keep, new, core = ~(into | out), (u >= 0) & (u != z), core & ~gone
+                qs, qt, qw = (np.append(x[keep], y[new]) for x, y in ((qs, u), (qt, z), (qw, share)))
+            # core positions are 0..C-1, the rest C..T-1; pivots join as self-loops, repeats sum
+            ranks = np.cumsum(core.reshape(b, n), axis=1)
+            c_count, ranks = ranks[:, -1], ranks.ravel()
+            position = np.where(core, ranks - 1, np.repeat(c_count, n) + position - ranks)
+            flat, at = visits.reshape(-1), np.arange(nodes) // n * n + position
+            flat[at[core]] = rhs[core]
+            loops = np.flatnonzero(core & (d != 1.0))
+            key, pair = np.unique(np.append(qs * nodes + qt, loops * (nodes + 1)), return_inverse=True)
+            qs, qt, qw = key // nodes, key % nodes, np.bincount(pair, np.append(qw, 1.0 - d[loops]))
+            qtrial, inside, counts = qs // n, np.ones(len(qs), bool), np.flatnonzero(np.bincount(c_count))
+        for t in counts[counts > 0]:
+            group = np.flatnonzero(c_count == t)
+            mine = inside & (c_count[qtrial] == t)
             # I - Q built in place (1 + (-w) == 1 - w exactly); LAPACK takes its transpose
             m = np.zeros((len(group), t, t))
-            m[np.searchsorted(group, trial[mine]), position[src[mine]],
-              position[tgt[mine]]] = -w[mine]
+            m[np.searchsorted(group, qtrial[mine]), position[qs[mine]],
+              position[qt[mine]]] = -qw[mine]
             m.reshape(len(group), -1)[:, ::t + 1] += 1.0
             try:
-                y = np.linalg.solve(m.swapaxes(1, 2), np.ones((len(group), t, 1)))
+                y = np.linalg.solve(m.swapaxes(1, 2), visits[group, :t, None])
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
             visits[group, :t] = y[..., 0]
+        for gone, s, z, q in reversed(steps):  # back-substitution, last round first
+            flat[at[gone]] = (rhs[gone] + np.bincount(z, q * flat[at[s]], nodes)[gone]) / d[gone]
         flow = np.bincount(dest, weights=visits[trial, position[src]] * w, minlength=bins)
         absorbed_by = flow[b * n:].reshape(b, a + 1)[:, :a]
         weights += absorbed_by

@@ -32,12 +32,10 @@ from functools import partial
 import numpy as np
 
 from .decisions import _decide, decision_error
-from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
+from .delegation import _PASS_BYTES, DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
 from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
-#: byte budget of one kernel pass (README, "Performance notes", says why 1 MiB)
-_PASS_BYTES = 2**20
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:

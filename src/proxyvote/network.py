@@ -105,12 +105,13 @@ class TrustNetwork:
         raw = np.array(self.raw_trust, dtype=np.float64).reshape(-1)
         if not len(src) == len(tgt) == len(raw):
             raise ValueError("edge arrays must have identical lengths")
-        order = np.lexsort((tgt, src))
-        src, tgt, raw = src[order], tgt[order], raw[order]
         # the per-node totals and the solvers index by edge endpoints and keep one
         # flow entry per (source, target) pair, so bad endpoints and repeated pairs
         # are structural faults.  Sorted edges put the source extremes at the two
-        # ends and make repeated pairs adjacent.
+        # ends and make repeated pairs adjacent; edges already in order skip the sort.
+        if not np.all((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (tgt[1:] > tgt[:-1])):
+            order = np.lexsort((tgt, src))
+            src, tgt, raw = src[order], tgt[order], raw[order]
         n = len(opinions)
         if len(src) and (src[0] < 0 or src[-1] >= n or tgt.min() < 0 or tgt.max() >= n):
             raise ValueError("network has edges with out-of-range endpoints")

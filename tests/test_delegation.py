@@ -239,12 +239,76 @@ def test_iterative_unequal_chains_agree_with_exact(leak, part, first, second):
     _agree_or_no_convergence(_net([0.5] * n, edges), ActiveSet([n - 2, n - 1]))
 
 
-def test_exact_subnormal_cycle_raises_instead_of_nan():
+def test_exact_subnormal_cycle_raises_instead_of_nan(monkeypatch):
     # 0 <-> 1 leak a subnormal share to the representative 2, and 3 feeds
     # 0 a subnormal share; the adjoint solve meets an exactly zero pivot
     net = _net([0.5] * 4, [(0, 1, 1.0), (0, 2, 1e-310), (1, 0, 1.0), (3, 0, 1e-309), (3, 2, 1.0)])
     with pytest.raises(SingularSystemError, match="absorption system reported singular"):
         compute_weights_exact(net, ActiveSet([2]))
+    # with no pass budget the cycle is eliminated first: 3 and 1 go in the
+    # first round, 1 lowers 0's pivot to exactly zero, and 0 meets it next
+    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    with pytest.raises(SingularSystemError, match="absorption system reported singular: pivot"):
+        compute_weights_exact(net, ActiveSet([2]))
+
+
+def test_elimination_of_a_tree_leaves_no_dense_solve(monkeypatch):
+    # every transient node has at most one transient predecessor, so rounds
+    # take 0, then 1 and 2, then 5, and nothing is left to factor
+    def boom(*args, **kwargs):
+        raise AssertionError("the core is empty")
+
+    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    monkeypatch.setattr(delegation.np.linalg, "solve", boom)
+    net = _net([0.5] * 6, [(0, 1, 1.0), (0, 2, 3.0), (1, 3, 1.0), (2, 4, 1.0), (2, 5, 1.0),
+                           (5, 3, 1.0)])
+    # 0 sends 1/4 to 1 and 3/4 to 2; 1 passes its 1.25 to 3; 2 splits its 1.75
+    # between 4 and 5; 5 passes its 1.875 to 3
+    assert compute_weights_exact(net, ActiveSet([3, 4])).weights == {3: 4.125, 4: 1.875}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**16), st.sampled_from(list(StrandedPolicy)))
+def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
+    # with no pass budget every trial eliminates before its dense solve; zero-trust
+    # edges strand nodes and cut in-degrees, so chains, trees and cycles vary
+    rng = np.random.default_rng(seed)
+    net = generate_network(n, int(rng.integers(1, n)), rng)
+    net = TrustNetwork(net.opinions, net.edge_source, net.edge_target,
+                       net.raw_trust * (rng.random(net.edge_count) < 0.7))
+    active = ActiveSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+
+    def solve():
+        try:
+            return compute_weights_exact(net, active, policy)
+        except DelegationError as exc:
+            return type(exc)
+
+    dense = solve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delegation, "_PASS_BYTES", 0)
+        eliminated = solve()
+    if isinstance(dense, type):
+        assert eliminated is dense
+        return
+    assert eliminated.stranded_mass == dense.stranded_mass
+    np.testing.assert_allclose(list(eliminated.weights.values()), list(dense.weights.values()),
+                               rtol=1e-12)
+
+
+def test_exact_solve_memory_is_that_of_the_core():
+    # at n=2000 about 1,400 of the 1,900 transient nodes are left after
+    # elimination; the full T x T block alone would take 27.5 MiB
+    rng = np.random.default_rng(1)
+    net = generate_network(2000, 3, rng)
+    active = ActiveSet(rng.choice(2000, size=100, replace=False))
+    tracemalloc.start()
+    try:
+        compute_weights_exact(net, active)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_exact_refuses_dense_blocks_over_the_limit():
@@ -510,12 +574,13 @@ def test_iterative_solve_memory_is_linear_in_edges():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 2**16),
-       st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]), st.booleans())
-def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact):
+       st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]), st.booleans(),
+       st.sampled_from([0, delegation._PASS_BYTES]))
+def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact, pass_bytes):
     # trials of one pass that stop after different sweep counts, or sweep
-    # not at all, or share a stacked exact solve, leave each other's weights,
-    # masses and counts alone; zero-trust edges vary the transient count from
-    # trial to trial
+    # not at all, or share a stacked exact solve, with or without eliminating
+    # first, leave each other's weights, masses and counts alone; zero-trust
+    # edges vary the transient count from trial to trial
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, n + 1))
     nets = [generate_network(n, int(rng.integers(1, n)), rng) for _ in range(b)]
@@ -537,7 +602,9 @@ def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exa
         except DelegationError:
             return None
 
-    batch, singles = absorb(list(range(b))), [absorb([i]) for i in range(b)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delegation, "_PASS_BYTES", pass_bytes)
+        batch, singles = absorb(list(range(b))), [absorb([i]) for i in range(b)]
     if batch is None:
         assert None in singles
         return

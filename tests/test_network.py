@@ -233,6 +233,24 @@ def test_network_canonical_edge_order():
     assert pairs == sorted(pairs)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**16))
+def test_sorted_and_shuffled_edges_build_equal_networks(n, seed):
+    # edges already in order skip the sort; either way the network keeps its
+    # own read-only copies and leaves the caller's arrays writable
+    rng = np.random.default_rng(seed)
+    net = generate_network(n, int(rng.integers(1, n)), rng)
+    fields = ("opinions", "edge_source", "edge_target", "raw_trust")
+    for perm in (np.arange(net.edge_count), rng.permutation(net.edge_count)):
+        arrays = [net.opinions.copy()] + [getattr(net, f)[perm] for f in fields[1:]]
+        built = TrustNetwork(*arrays)
+        for field, caller in zip(fields, arrays):
+            mine = getattr(built, field)
+            assert mine.tobytes() == getattr(net, field).tobytes()
+            assert not mine.flags.writeable and caller.flags.writeable
+            assert not np.shares_memory(mine, caller)
+
+
 def test_active_set_invariants():
     with pytest.raises(ValueError):
         ActiveSet([])
