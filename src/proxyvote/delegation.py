@@ -36,6 +36,8 @@ CONSERVATION_TOL = 1e-6
 EXACT_BLOCK_BYTES = 2**30
 #: byte budget of a kernel pass and of a T x T block solved without elimination (README)
 _PASS_BYTES = 2**20
+#: largest fill p s (transient predecessors times successors) of a node eliminated before the dense solve
+_FILL = 64
 
 
 class DelegationError(Exception):
@@ -180,7 +182,9 @@ def compute_weights_exact(
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
     :class:`SingularSystemError`.  A T x T block over ``EXACT_BLOCK_BYTES``
     (T > 11,585) raises MemoryError before it is allocated; one over 1 MiB
-    (T > 362) first eliminates its nodes of one transient predecessor or none.
+    (T > 362) first eliminates, in rounds, its nodes of low fill (at most one
+    transient predecessor or successor, or at most 64 pairs of them), and
+    factors only the core left.
     """
     return _weight_vector(network, active, stranded_policy)
 
@@ -233,9 +237,9 @@ def _absorb(
     splits it evenly over the weights.  Given a sweep ``config``, all trials
     sweep their live edges together, each until its residual is below the
     tolerance or its tail closes; otherwise each group of equal transient
-    count T (core count, for T > 362) takes one stacked adjoint solve, and
-    one bincount adds the flows.  Returns (weights (B, A), stranded mass
-    (B,), sweeps used (B,)).
+    count T (core count after elimination, for T > 362) takes one stacked
+    adjoint solve, and one bincount adds the flows.  Returns (weights (B, A),
+    stranded mass (B,), sweeps used (B,)).
     """
     b, a = active.shape
     rows = np.arange(b)[:, None]
@@ -321,7 +325,7 @@ def _absorb(
         # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units to t
         # (Kemeny and Snell), so one flow of y adds what every sweep would: active a
         # absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds rhs[t], then y[t]
-        visits, nodes = np.ones((b, n)), b * n
+        (visits, pivots), nodes = np.ones((2, b, n)), b * n
         counts = np.flatnonzero(np.bincount(t_count))
         if (top := int(counts[-1])) ** 2 * 8 > EXACT_BLOCK_BYTES:
             # the guard is per trial: a caller batching trials keeps their stack small
@@ -329,48 +333,57 @@ def _absorb(
                               f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
         qs, qt, qw, qtrial, inside, c_count, steps = src, tgt, w, trial, into_t, t_count, []
         if top * top * 8 > _PASS_BYTES:
-            # a trial over the pass budget first eliminates, round by round, each v whose in-edges
-            # all come from one u (or none) not eliminated with it (README): edge v -> z adds
-            # q(v, z) rhs[v] / d[v] to rhs[z] and becomes u -> z of q(u, v) q(v, z) / d[v] (z = u: off d[u])
+            # a trial over the pass budget first eliminates, round by round, an independent set of
+            # nodes of low fill (README): in-edge u -> v and out-edge v -> z of a node v that goes
+            # add q(v, z) rhs[v] / d[v] to rhs[z] and q(u, v) q(v, z) / d[v] to u -> z (z = u: off d[u])
             gated = np.repeat(t_count ** 2 * 8 > _PASS_BYTES, n)
             core, rhs, d = transient.copy(), *np.ones((2, nodes))
+            # Fibonacci hash of the local id, so a trial's rounds do not depend on its batch
+            h = (np.arange(nodes) % n).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
             while True:
-                first = np.full(nodes, -1)
-                first[qt] = qs
-                one = core & gated & (np.bincount(qt[first[qt] != qs], minlength=nodes) == 0)
-                gone = one & (np.bincount(qt[one[qs]], minlength=nodes) == 0)
+                # repeated edges merge, sorted by target, so p and s count distinct neighbours
+                key, pair = np.unique(qt * nodes + qs, return_inverse=True)
+                qt, qs, qw = key // nodes, key % nodes, np.bincount(pair, qw)
+                p, s = np.bincount(qt, minlength=nodes), np.bincount(qs, minlength=nodes)
+                fill = p * s
+                gone = core & gated & ((p <= 1) | (s <= 1) | (fill <= _FILL))
+                # of two candidates joined by an edge, the one of higher key (p s, h) waits
+                both = gone[qs] & gone[qt]
+                tail, head = qs[both], qt[both]
+                later = (fill[tail] > fill[head]) | (fill[tail] == fill[head]) & (h[tail] > h[head])
+                gone[np.where(later, tail, head)] = False
                 if not gone.any():
                     break
                 if not (d[gone] > 0.0).all():
                     raise SingularSystemError(f"absorption system reported singular: pivot {d[gone].min()}")
                 into, out = gone[qt], gone[qs]
                 steps.append((gone, qs[into], qt[into], qw[into]))
+                _, iu, iv, iq = steps[-1]  # in-edges u -> v, sorted by v
                 v, z = qs[out], qt[out]
-                u, share = first[v], qw[out] / d[v]
+                share, ins = qw[out] / d[v], p[v]
                 rhs += np.bincount(z, share * rhs[v], nodes)
-                share *= np.bincount(qt[into], qw[into], nodes)[v]
-                d -= np.bincount(z[u == z], share[u == z], nodes)
-                keep, new, core = ~(into | out), (u >= 0) & (u != z), core & ~gone
-                qs, qt, qw = (np.append(x[keep], y[new]) for x, y in ((qs, u), (qt, z), (qw, share)))
-            # core positions are 0..C-1, the rest C..T-1; pivots join as self-loops, repeats sum
+                # out-edge v -> z repeats once per in-edge of v; those sit in a run from searchsorted
+                pick = np.repeat(np.searchsorted(iv, v) - np.cumsum(ins) + ins, ins) + np.arange(ins.sum())
+                u, z, share = iu[pick], np.repeat(z, ins), iq[pick] * np.repeat(share, ins)
+                d -= np.bincount(u[u == z], share[u == z], nodes)
+                keep, new, core = ~(into | out), u != z, core & ~gone
+                qs, qt, qw = (np.append(e[keep], f[new]) for e, f in ((qs, u), (qt, z), (qw, share)))
+            # core positions are 0..C-1, the rest C..T-1; the core's edges are merged, its pivots d
             ranks = np.cumsum(core.reshape(b, n), axis=1)
             c_count, ranks = ranks[:, -1], ranks.ravel()
             position = np.where(core, ranks - 1, np.repeat(c_count, n) + position - ranks)
             flat, at = visits.reshape(-1), np.arange(nodes) // n * n + position
-            flat[at[core]] = rhs[core]
-            loops = np.flatnonzero(core & (d != 1.0))
-            key, pair = np.unique(np.append(qs * nodes + qt, loops * (nodes + 1)), return_inverse=True)
-            qs, qt, qw = key // nodes, key % nodes, np.bincount(pair, np.append(qw, 1.0 - d[loops]))
+            flat[at[core]], pivots.reshape(-1)[at[core]] = rhs[core], d[core]
             qtrial, inside, counts = qs // n, np.ones(len(qs), bool), np.flatnonzero(np.bincount(c_count))
         for t in counts[counts > 0]:
             group = np.flatnonzero(c_count == t)
             mine = inside & (c_count[qtrial] == t)
-            # I - Q built in place (1 + (-w) == 1 - w exactly); LAPACK takes its transpose
+            # I - Q built in place (d + (-w) == d - w exactly); LAPACK takes its transpose
             m = np.zeros((len(group), t, t))
             m[np.searchsorted(group, qtrial[mine]), position[qs[mine]],
               position[qt[mine]]] = -qw[mine]
-            m.reshape(len(group), -1)[:, ::t + 1] += 1.0
+            m.reshape(len(group), -1)[:, ::t + 1] += pivots[group, :t]
             try:
                 y = np.linalg.solve(m.swapaxes(1, 2), visits[group, :t, None])
             except np.linalg.LinAlgError as exc:
@@ -381,17 +394,18 @@ def _absorb(
         flow = np.bincount(dest, weights=visits[trial, position[src]] * w, minlength=bins)
         absorbed_by = flow[b * n:].reshape(b, a + 1)[:, :a]
         weights += absorbed_by
-        # each transient unit ends absorbed or stranded, so the solve's leftover leaks
+        # each transient unit ends absorbed or stranded, so the solve's leftover leaks; in a
+        # trial where no trust flowed into a stranded node nothing leaked, and it is fp residue
         absorbed = absorbed_by.sum(axis=1)
-        lost = t_count - absorbed
+        lost, shut = t_count - absorbed, flow[b * n + a::a + 1] == 0.0
         # written so that a NaN leak (a subnormal pivot) fails too
-        bad = ~(lost >= -CONSERVATION_TOL) | ((stranded_count == 0) & (lost > CONSERVATION_TOL))
+        bad = ~(lost >= -CONSERVATION_TOL) | (shut & (lost > CONSERVATION_TOL))
         if bad.any():
             raise SingularSystemError(
                 f"absorption system too ill-conditioned: {float(absorbed[bad.argmax()])!r} "
                 f"of {t_count[bad.argmax()]} transient units absorbed"
             )
-        leaked = np.maximum(0.0, lost)
+        leaked = np.where(shut, 0.0, np.maximum(0.0, lost))
     # with no stranded region nothing can leak, so any leak is fp residue
     mass = np.where(stranded_count > 0, stranded_count + leaked, 0.0)
     weights += (mass / a)[:, None]

@@ -1,5 +1,6 @@
 import pickle
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -253,8 +254,9 @@ def test_exact_subnormal_cycle_raises_instead_of_nan(monkeypatch):
 
 
 def test_elimination_of_a_tree_leaves_no_dense_solve(monkeypatch):
-    # every transient node has at most one transient predecessor, so rounds
-    # take 0, then 1 and 2, then 5, and nothing is left to factor
+    # every transient node has fill p s <= 1; the first round takes 0 (the
+    # hash of local id 0 is the lowest) and 5, the next 1 and 2, and nothing
+    # is left to factor
     def boom(*args, **kwargs):
         raise AssertionError("the core is empty")
 
@@ -265,6 +267,28 @@ def test_elimination_of_a_tree_leaves_no_dense_solve(monkeypatch):
     # 0 sends 1/4 to 1 and 3/4 to 2; 1 passes its 1.25 to 3; 2 splits its 1.75
     # between 4 and 5; 5 passes its 1.875 to 3
     assert compute_weights_exact(net, ActiveSet([3, 4])).weights == {3: 4.125, 4: 1.875}
+
+
+def test_elimination_with_fill_leaves_no_dense_solve(monkeypatch):
+    # 1, 2 and 3 each have two transient predecessors and two transient
+    # successors (fill 4), and 2 has the lowest hash of the three, so the
+    # first round takes 2 and the isolated 0.  2's in-edges 1 -> 2 and 3 -> 2
+    # join its out-edges 2 -> 1 and 2 -> 3: the fill 1 -> 3 (1/2 * 1/4) and
+    # 3 -> 1 (1/2 * 1/2) merge into the edges there, to 3/8 and 3/4, and the
+    # fill self-loops lower the pivots to d[1] = 3/4 and d[3] = 7/8, while
+    # rhs[1] = 3/2 and rhs[3] = 5/4.  Then 1 goes (fill 1, lower hash than 3):
+    # q(1, 3) / d[1] = 1/2, so rhs[3] = 2 and d[3] = 7/8 - 3/4 * 1/2 = 1/2,
+    # and 3 goes last.  Back-substitution: y3 = 4, y1 = (3/2 + 3/4 y3) / (3/4) = 6,
+    # y2 = 1 + y1 / 2 + y3 / 2 = 6, y0 = 1; every step is exact in binary
+    def boom(*args, **kwargs):
+        raise AssertionError("the core is empty")
+
+    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    monkeypatch.setattr(delegation.np.linalg, "solve", boom)
+    net = _net([0.5] * 6, [(0, 4, 1.0), (1, 2, 2.0), (1, 3, 1.0), (1, 5, 1.0), (2, 1, 2.0),
+                           (2, 3, 1.0), (2, 5, 1.0), (3, 1, 1.0), (3, 2, 1.0)])
+    # 4 takes y0; 5 takes a quarter of y1 and of y2
+    assert compute_weights_exact(net, ActiveSet([4, 5])).weights == {4: 2.0, 5: 4.0}
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,9 +320,26 @@ def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_elimination_at_the_benchmark_shape_agrees(seed, monkeypatch):
+    # n=2000, k=3, 100 active: T = 1,900, of which about 600 are left for the
+    # dense core; fill edges and merged repeats are many here
+    rng = np.random.default_rng(seed)
+    net = generate_network(2000, 3, rng)
+    active = ActiveSet(rng.choice(2000, size=100, replace=False))
+    eliminated = compute_weights_exact(net, active)
+    iterative = compute_weights_iterative(net, active)
+    monkeypatch.setattr(delegation, "_PASS_BYTES", 2**30)  # no round runs
+    dense = compute_weights_exact(net, active)
+    weights = np.array(list(eliminated.weights.values()))
+    np.testing.assert_allclose(weights, list(dense.weights.values()), rtol=1e-12)
+    np.testing.assert_allclose(weights, list(iterative.weights.values()), rtol=0, atol=1e-9)
+
+
 def test_exact_solve_memory_is_that_of_the_core():
-    # at n=2000 about 1,400 of the 1,900 transient nodes are left after
-    # elimination; the full T x T block alone would take 27.5 MiB
+    # at n=2000 about 600 of the 1,900 transient nodes are left after
+    # elimination (2.7 MiB of core block, 4.2 MiB traced peak); the full
+    # T x T block alone would take 27.5 MiB
     rng = np.random.default_rng(1)
     net = generate_network(2000, 3, rng)
     active = ActiveSet(rng.choice(2000, size=100, replace=False))
@@ -308,7 +349,7 @@ def test_exact_solve_memory_is_that_of_the_core():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_exact_refuses_dense_blocks_over_the_limit():
@@ -328,6 +369,18 @@ def test_exact_refuses_dense_blocks_over_the_limit():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     vector = compute_weights_iterative(net, active)
+    assert vector.weights[n - 1] == pytest.approx(n, abs=1e-6)
+
+
+def test_exact_solves_a_long_chain_in_few_rounds():
+    # a chain of 11,000 nodes into its last (T = 10,999, under the guard)
+    # leaves no core; hashed priorities take a constant share of the chain
+    # each round, so the rounds are O(log T), not one per node
+    n = 11_000
+    net = _net([0.5] * n, [(i, i + 1, 0.5) for i in range(n - 1)])
+    start = time.perf_counter()
+    vector = compute_weights_exact(net, ActiveSet([n - 1]))
+    assert time.perf_counter() - start < 1.0
     assert vector.weights[n - 1] == pytest.approx(n, abs=1e-6)
 
 
@@ -385,6 +438,16 @@ def test_transient_mass_leaking_into_stranded_region_is_redistributed():
         assert vector.stranded_mass == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(StrandedTrustError):
         compute_weights_iterative(net, active)
+
+
+def test_exact_stranded_mass_is_the_stranded_count_when_nothing_leaks():
+    # 3 has no edges, so it is stranded but no trust can flow into it; the
+    # near-closed cycle's rounding stays in the weight, within the tolerance,
+    # instead of passing for leaked trust
+    net = _net([0.5] * 4, [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 1e-8)])
+    vector = compute_weights_exact(net, ActiveSet([2]), StrandedPolicy.UNIFORM_TO_ACTIVE)
+    assert vector.stranded_mass == 1.0
+    assert vector.weights[2] == pytest.approx(4.0, abs=1e-6)
 
 
 def test_conservation_and_lower_bound_random_instances():
