@@ -12,6 +12,7 @@ error, 3 stranded trust / no convergence / ill-conditioned exact solve.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -114,9 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -180,11 +180,11 @@ def compute_weights_exact(
     so I - Q is nonsingular; a singular report, or a solution whose
     absorbed mass misses the transient count by more than
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
-    :class:`SingularSystemError`.  A T x T block over ``EXACT_BLOCK_BYTES``
-    (T > 11,585) raises MemoryError before it is allocated; one over 1 MiB
-    (T > 362) first eliminates, in rounds, its nodes of low fill (at most one
-    transient predecessor or successor, or at most 64 pairs of them), and
-    factors only the core left.
+    :class:`SingularSystemError`.  A T x T block over 1 MiB (T > 362) first
+    eliminates, in rounds, its nodes of low fill (at most one transient
+    predecessor or successor, or at most 64 pairs of them), and factors only
+    the core of C nodes left (C = T otherwise); a C x C block over
+    ``EXACT_BLOCK_BYTES`` (C > 11,585) raises MemoryError before it is allocated.
     """
     return _weight_vector(network, active, stranded_policy)
 
@@ -327,12 +327,8 @@ def _absorb(
         # absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds rhs[t], then y[t]
         (visits, pivots), nodes = np.ones((2, b, n)), b * n
         counts = np.flatnonzero(np.bincount(t_count))
-        if (top := int(counts[-1])) ** 2 * 8 > EXACT_BLOCK_BYTES:
-            # the guard is per trial: a caller batching trials keeps their stack small
-            raise MemoryError(f"the exact solve of {top} transient nodes needs over "
-                              f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
         qs, qt, qw, qtrial, inside, c_count, steps = src, tgt, w, trial, into_t, t_count, []
-        if top * top * 8 > _PASS_BYTES:
+        if int(counts[-1]) ** 2 * 8 > _PASS_BYTES:
             # a trial over the pass budget first eliminates, round by round, an independent set of
             # nodes of low fill (README): in-edge u -> v and out-edge v -> z of a node v that goes
             # add q(v, z) rhs[v] / d[v] to rhs[z] and q(u, v) q(v, z) / d[v] to u -> z (z = u: off d[u])
@@ -342,9 +338,13 @@ def _absorb(
             h = (np.arange(nodes) % n).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
             while True:
-                # repeated edges merge, sorted by target, so p and s count distinct neighbours
-                key, pair = np.unique(qt * nodes + qs, return_inverse=True)
-                qt, qs, qw = key // nodes, key % nodes, np.bincount(pair, qw)
+                # repeated edges merge, sorted by target, so p and s count distinct neighbours; kept
+                # edges stay one sorted run that timsort merges the fill into, repeats add in order
+                key = qt * nodes + qs
+                order = np.argsort(key, kind="stable")
+                first = np.diff(key := key[order], prepend=-1) != 0
+                qw, key = np.bincount(np.cumsum(first) - 1, qw[order]), key[first]
+                qt, qs = key // nodes, key % nodes
                 p, s = np.bincount(qt, minlength=nodes), np.bincount(qs, minlength=nodes)
                 fill = p * s
                 gone = core & gated & ((p <= 1) | (s <= 1) | (fill <= _FILL))
@@ -376,13 +376,17 @@ def _absorb(
             flat, at = visits.reshape(-1), np.arange(nodes) // n * n + position
             flat[at[core]], pivots.reshape(-1)[at[core]] = rhs[core], d[core]
             qtrial, inside, counts = qs // n, np.ones(len(qs), bool), np.flatnonzero(np.bincount(c_count))
+        if (top := int(counts[-1])) ** 2 * 8 > EXACT_BLOCK_BYTES:
+            # the guard is per trial: a caller batching trials keeps their stack small
+            raise MemoryError(f"the exact solve of {top} transient nodes needs over "
+                              f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
         for t in counts[counts > 0]:
             group = np.flatnonzero(c_count == t)
             mine = inside & (c_count[qtrial] == t)
             # I - Q built in place (d + (-w) == d - w exactly); LAPACK takes its transpose
             m = np.zeros((len(group), t, t))
-            m[np.searchsorted(group, qtrial[mine]), position[qs[mine]],
-              position[qt[mine]]] = -qw[mine]
+            slot = np.searchsorted(group, qtrial[mine])
+            m.reshape(-1)[(slot * t + position[qs[mine]]) * t + position[qt[mine]]] = -qw[mine]
             m.reshape(len(group), -1)[:, ::t + 1] += pivots[group, :t]
             try:
                 y = np.linalg.solve(m.swapaxes(1, 2), visits[group, :t, None])

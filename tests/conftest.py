@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from proxyvote import ActiveSet, TrustNetwork, generate_network
+from proxyvote import ActiveSet, TrustNetwork, compute_weights_exact, generate_network
 
 # the same examples on every run, so a property test passes or fails for good
 settings.register_profile("repeatable", derandomize=True)
@@ -42,3 +42,18 @@ def random_instance(rng: np.random.Generator, max_n: int = 100, max_k: int = 5):
     size = int(rng.integers(1, n + 1))
     active = ActiveSet(rng.choice(n, size=size, replace=False))
     return net, active
+
+
+def exact_core_count(net: TrustNetwork, active: ActiveSet) -> int:
+    """The node count of the one dense core block that the exact solve factors."""
+    shapes, solve = [], np.linalg.solve
+
+    def spy(m, rhs):
+        shapes.append(m.shape)
+        return solve(m, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", spy)
+        compute_weights_exact(net, active)
+    (shape,) = shapes
+    return shape[1]

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxyvote import TrustNetwork, delegation
+from proxyvote import ActiveSet, cli, delegation, generate_network
 from proxyvote.cli import main
 from proxyvote.fileio import save_network
+from conftest import exact_core_count
 
 
 def run_cli(*args):
@@ -209,17 +210,21 @@ def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: out of memory: ") and len(err) > len("error: out of memory: \n")
 
 
-def test_exact_weights_over_block_limit_exit_2(tmp_path, capsys):
-    # a 12,000-node chain into its last node needs an 11999 x 11999 block
-    n = 12_000
-    net = TrustNetwork([0.5] * n, np.arange(n - 1), np.arange(1, n), [0.5] * (n - 1))
+def test_exact_weights_over_block_limit_exit_2(tmp_path, monkeypatch, capsys):
+    # with the limit one byte below the dense core left after elimination
+    # (about 600 of the 1,900 transient nodes at n=2000, k=3, 100 active)
+    rng = np.random.default_rng(1)
+    net = generate_network(2000, 3, rng)
+    active = ActiveSet(rng.choice(2000, size=100, replace=False))
+    core = exact_core_count(net, active)
+    monkeypatch.setattr(delegation, "EXACT_BLOCK_BYTES", core * core * 8 - 1)
     nodes, edges = tmp_path / "n.csv", tmp_path / "e.csv"
     save_network(net, nodes, edges)
     code = run_cli("weights", "--nodes", str(nodes), "--edges", str(edges),
-                   "--active", str(n - 1), "--exact")
+                   "--active", ",".join(map(str, active.ids.tolist())), "--exact")
     assert code == 2
-    last = capsys.readouterr().err.splitlines()[-1]  # after the dangling-node warning
-    assert last.startswith("error: out of memory: the exact solve of 11999 transient nodes")
+    last = capsys.readouterr().err.splitlines()[-1]  # after any dangling-node warning
+    assert last.startswith(f"error: out of memory: the exact solve of {core} transient nodes")
     assert last.endswith("use the iterative solver")
 
 
@@ -450,3 +455,32 @@ def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert run_cli("simulate", "--help") == 0
     capsys.readouterr()
+
+
+def test_main_reuses_one_parser_with_the_same_output(four_node_paths, monkeypatch, capsysbinary):
+    # main parses with one parser per process; a sequence of calls on it gives
+    # the bytes and exit codes of the same calls each on a freshly built parser
+    nodes, edges = four_node_paths
+    files = ["--nodes", nodes, "--edges", edges, "--active", "2,3"]
+    calls = [
+        ["decide", "--nodes", nodes, "--bogus"],
+        ["--help"],
+        ["decide", *files],
+        ["weights", *files, "--exact"],
+        ["simulate", "--n", "20", "--k", "2", "--trials", "5", "--sizes", "2,5", "--seed", "3"],
+        ["decide", *files],
+    ]
+
+    def outcomes():
+        runs = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsysbinary.readouterr()
+            runs.append((code, captured.out, captured.err))
+        return runs
+
+    shared = outcomes()
+    assert cli._parser() is cli._parser()
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == shared
