@@ -236,33 +236,29 @@ def _absorb(
     (:func:`_reach`).  ``policy`` rejects the trust of the other nodes or
     splits it evenly over the weights.  Given a sweep ``config``, all trials
     sweep their live edges together, each until its residual is below the
-    tolerance or its tail closes; otherwise each group of equal transient
-    count T (core count after elimination, for T > 362) takes one stacked
-    adjoint solve, and one bincount adds the flows.  Returns (weights (B, A),
+    tolerance or its tail closes; otherwise a trial of T > 362 transient nodes
+    eliminates its low-fill ones, each group of equal core count C (C = T for
+    the rest) takes one stacked adjoint solve, back-substitution solves the
+    eliminated nodes, and one bincount adds the flows.  Returns (weights (B, A),
     stranded mass (B,), sweeps used (B,)).
     """
     b, a = active.shape
-    rows = np.arange(b)[:, None]
     if policy is StrandedPolicy.REJECT and not reached.all():
         raise StrandedTrustError(np.flatnonzero(~reached[reached.all(axis=1).argmin()]).tolist())
-    is_active = np.zeros((b, n), dtype=bool)
-    is_active[rows, active] = True
-    transient = reached & ~is_active
-    t_count = np.count_nonzero(transient, axis=1)
-    position = np.cumsum(transient, axis=1) - 1
-    position[rows, active] = np.arange(a)
-    transient, is_active, position = transient.ravel(), is_active.ravel(), position.ravel()
+    # each node's bin among its trial's [weights (A) | leak]: its rank if active, else A
+    bin_of = np.full(b * n, a)
+    np.put_along_axis(bin_of.reshape(b, n), active, np.arange(a), axis=1)
+    transient = reached.ravel() & (bin_of == a)
+    t_count = np.count_nonzero(transient.reshape(b, n), axis=1)
     live = (norm > 0.0) & transient[src]
     src, tgt, w = src[live], tgt[live], norm[live]
 
     weights, leaked, sweeps = np.ones((b, a)), np.zeros(b), np.zeros(b, dtype=np.int64)
-    stranded_count = n - a - t_count
     trial = src // n
     # a flow, a sweep's or the exact solve's, is one bincount of every live
     # edge into its bin of [next mobile (B*n) | per trial: weights (A), leak (1)]
     into_t, bins = transient[tgt], b * (n + a + 1)
-    dest = np.where(into_t, tgt, b * n + trial * (a + 1)
-                    + np.where(is_active[tgt], position[tgt], a))
+    dest = np.where(into_t, tgt, b * n + trial * (a + 1) + bin_of[tgt])
     if config is not None:
         # a trial whose residual drops below the tolerance, or whose tail
         # closes, stops and its edges leave the arrays, so it gets the bits it gets alone
@@ -324,19 +320,17 @@ def _absorb(
     else:
         # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units to t
         # (Kemeny and Snell), so one flow of y adds what every sweep would: active a
-        # absorbs y[t] * w over edge t -> a; visits[trial, position of t] holds rhs[t], then y[t]
-        (visits, pivots), nodes = np.ones((2, b, n)), b * n
-        counts = np.flatnonzero(np.bincount(t_count))
-        qs, qt, qw, qtrial, inside, c_count, steps = src, tgt, w, trial, into_t, t_count, []
-        if int(counts[-1]) ** 2 * 8 > _PASS_BYTES:
+        # absorbs y[t] * w over edge t -> a; y[v] holds rhs[v] until v is solved, d[v] its pivot
+        nodes, core, steps = b * n, transient, []
+        y, d = np.ones((2, nodes))
+        qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
+        if int(t_count.max()) ** 2 * 8 > _PASS_BYTES:
             # a trial over the pass budget first eliminates, round by round, an independent set of
             # nodes of low fill (README): in-edge u -> v and out-edge v -> z of a node v that goes
             # add q(v, z) rhs[v] / d[v] to rhs[z] and q(u, v) q(v, z) / d[v] to u -> z (z = u: off d[u])
             gated = np.repeat(t_count ** 2 * 8 > _PASS_BYTES, n)
-            core, rhs, d = transient.copy(), *np.ones((2, nodes))
             # Fibonacci hash of the local id, so a trial's rounds do not depend on its batch
             h = (np.arange(nodes) % n).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
             while True:
                 # repeated edges merge, sorted by target, so p and s count distinct neighbours; kept
                 # edges stay one sorted run that timsort merges the fill into, repeats add in order
@@ -362,40 +356,37 @@ def _absorb(
                 _, iu, iv, iq = steps[-1]  # in-edges u -> v, sorted by v
                 v, z = qs[out], qt[out]
                 share, ins = qw[out] / d[v], p[v]
-                rhs += np.bincount(z, share * rhs[v], nodes)
+                y += np.bincount(z, share * y[v], nodes)
                 # out-edge v -> z repeats once per in-edge of v; those sit in a run from searchsorted
                 pick = np.repeat(np.searchsorted(iv, v) - np.cumsum(ins) + ins, ins) + np.arange(ins.sum())
                 u, z, share = iu[pick], np.repeat(z, ins), iq[pick] * np.repeat(share, ins)
                 d -= np.bincount(u[u == z], share[u == z], nodes)
                 keep, new, core = ~(into | out), u != z, core & ~gone
                 qs, qt, qw = (np.append(e[keep], f[new]) for e, f in ((qs, u), (qt, z), (qw, share)))
-            # core positions are 0..C-1, the rest C..T-1; the core's edges are merged, its pivots d
-            ranks = np.cumsum(core.reshape(b, n), axis=1)
-            c_count, ranks = ranks[:, -1], ranks.ravel()
-            position = np.where(core, ranks - 1, np.repeat(c_count, n) + position - ranks)
-            flat, at = visits.reshape(-1), np.arange(nodes) // n * n + position
-            flat[at[core]], pivots.reshape(-1)[at[core]] = rhs[core], d[core]
-            qtrial, inside, counts = qs // n, np.ones(len(qs), bool), np.flatnonzero(np.bincount(c_count))
+        # a trial at or under the gate keeps core = transient, d = 1; its C core nodes rank 0..C-1
+        ranks = np.cumsum(core.reshape(b, n), axis=1)
+        c_count, ranks = ranks[:, -1], ranks.ravel() - 1
+        counts, qtrial = np.flatnonzero(np.bincount(c_count)), qs // n
         if (top := int(counts[-1])) ** 2 * 8 > EXACT_BLOCK_BYTES:
             # the guard is per trial: a caller batching trials keeps their stack small
-            raise MemoryError(f"the exact solve of {top} transient nodes needs over "
-                              f"{EXACT_BLOCK_BYTES >> 30} GiB; use the iterative solver")
+            raise MemoryError(f"the exact solve of {top} transient nodes needs {top ** 2 * 8} bytes, "
+                              f"over the limit of {EXACT_BLOCK_BYTES} bytes; use the iterative solver")
         for t in counts[counts > 0]:
             group = np.flatnonzero(c_count == t)
-            mine = inside & (c_count[qtrial] == t)
+            members = np.flatnonzero(core & np.repeat(c_count == t, n))  # in (slot, rank) order
+            mine = c_count[qtrial] == t
             # I - Q built in place (d + (-w) == d - w exactly); LAPACK takes its transpose
             m = np.zeros((len(group), t, t))
             slot = np.searchsorted(group, qtrial[mine])
-            m.reshape(-1)[(slot * t + position[qs[mine]]) * t + position[qt[mine]]] = -qw[mine]
-            m.reshape(len(group), -1)[:, ::t + 1] += pivots[group, :t]
+            m.reshape(-1)[(slot * t + ranks[qs[mine]]) * t + ranks[qt[mine]]] = -qw[mine]
+            m.reshape(len(group), -1)[:, ::t + 1] += d[members].reshape(-1, t)
             try:
-                y = np.linalg.solve(m.swapaxes(1, 2), visits[group, :t, None])
+                y[members] = np.linalg.solve(m.swapaxes(1, 2), y[members].reshape(-1, t, 1)).ravel()
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"absorption system reported singular: {exc}") from exc
-            visits[group, :t] = y[..., 0]
         for gone, s, z, q in reversed(steps):  # back-substitution, last round first
-            flat[at[gone]] = (rhs[gone] + np.bincount(z, q * flat[at[s]], nodes)[gone]) / d[gone]
-        flow = np.bincount(dest, weights=visits[trial, position[src]] * w, minlength=bins)
+            y[gone] = (y[gone] + np.bincount(z, q * y[s], nodes)[gone]) / d[gone]
+        flow = np.bincount(dest, weights=y[src] * w, minlength=bins)
         absorbed_by = flow[b * n:].reshape(b, a + 1)[:, :a]
         weights += absorbed_by
         # each transient unit ends absorbed or stranded, so the solve's leftover leaks; in a
@@ -410,8 +401,7 @@ def _absorb(
                 f"of {t_count[bad.argmax()]} transient units absorbed"
             )
         leaked = np.where(shut, 0.0, np.maximum(0.0, lost))
-    # with no stranded region nothing can leak, so any leak is fp residue
-    mass = np.where(stranded_count > 0, stranded_count + leaked, 0.0)
+    mass = n - a - t_count + leaked
     weights += (mass / a)[:, None]
     return weights, mass, sweeps
 

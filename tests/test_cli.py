@@ -226,6 +226,8 @@ def test_exact_weights_over_block_limit_exit_2(tmp_path, monkeypatch, capsys):
     last = capsys.readouterr().err.splitlines()[-1]  # after any dangling-node warning
     assert last.startswith(f"error: out of memory: the exact solve of {core} transient nodes")
     assert last.endswith("use the iterative solver")
+    # the block's bytes and the limit's, which a GiB count would round to 0 here
+    assert f"needs {core * core * 8} bytes, over the limit of {core * core * 8 - 1} bytes;" in last
 
 
 def test_simulate_exact_block_limit_names_its_trial(monkeypatch, capsys):

@@ -160,9 +160,12 @@ def test_solvers_conserve_and_agree_or_raise(graph):
         vectors.append(compute_weights_iterative(net, active, UNIFORM))
     except NoConvergenceError:
         pass
+    nothing_stranded = not reachability_partition(net, active).stranded.size
     for vector in vectors:
         assert abs(vector.total() - net.n) <= 1e-6
         assert min(vector.weights.values()) >= 1.0 - 1e-9
+        if nothing_stranded:  # not a leak of fp residue, also when the sweeps close by the tail
+            assert vector.stranded_mass == 0.0
     if len(vectors) == 2:
         exact, iterative = (vector.weights for vector in vectors)
         for node, w in exact.items():
@@ -646,12 +649,13 @@ def test_iterative_solve_memory_is_linear_in_edges():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 2**16),
        st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]), st.booleans(),
-       st.sampled_from([0, delegation._PASS_BYTES]))
+       st.sampled_from([0, delegation._PASS_BYTES, None]))
 def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact, pass_bytes):
     # trials of one pass that stop after different sweep counts, or sweep
     # not at all, or share a stacked exact solve, with or without eliminating
     # first, leave each other's weights, masses and counts alone; zero-trust
-    # edges vary the transient count from trial to trial
+    # edges vary the transient count from trial to trial; a budget of None is
+    # 8 T^2 at the batch's least T, so its other trials eliminate and these do not
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, n + 1))
     nets = [generate_network(n, int(rng.integers(1, n)), rng) for _ in range(b)]
@@ -659,6 +663,10 @@ def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exa
                          net.raw_trust * (rng.random(len(net.raw_trust)) < 0.7)) for net in nets]
     active = np.sort([rng.choice(n, size=size, replace=False) for _ in range(b)], axis=1)
     config = PropagationConfig(tolerance, budget, StrandedPolicy.UNIFORM_TO_ACTIVE)
+    if pass_bytes is None:
+        pass_bytes = 8 * min(np.count_nonzero(delegation._reach(
+            net.edge_source, net.edge_target, net.normalized_trust, ids, n)) - size
+            for net, ids in zip(nets, active)) ** 2
 
     def absorb(trials):
         src = np.concatenate([nets[i].edge_source + j * n for j, i in enumerate(trials)])
