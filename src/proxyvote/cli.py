@@ -19,6 +19,7 @@ import numpy as np
 
 from . import fileio
 from .delegation import (
+    CONSERVATION_TOL,
     DelegationError,
     PropagationConfig,
     StrandedPolicy,
@@ -171,8 +172,18 @@ def _active_set(args) -> ActiveSet:
     return ActiveSet(ids)
 
 
+def _tolerance(value: float) -> float:
+    """``value``, refused over ``CONSERVATION_TOL``: the iterative solve may drop
+    that much residual trust, and the weights must sum to n within that bound."""
+    if not value <= CONSERVATION_TOL:
+        raise ValueError(f"tolerance must be at most {CONSERVATION_TOL} (the bound on |sum of "
+                         f"weights - n|), got {value}")
+    return value
+
+
 def _weight_vector(args, network, active):
     policy = StrandedPolicy(args.stranded_policy)
+    _tolerance(args.tolerance)
     if args.exact:
         return compute_weights_exact(network, active, policy)
     config = PropagationConfig(
@@ -244,6 +255,7 @@ def _cmd_simulate(args) -> int:
             return convert(values[key])
         return default
 
+    tolerance = _tolerance(pick("tolerance", float, _EXPERIMENT.propagation.tolerance))
     network = _load(args.nodes, args.edges) if injected else None
     n = network.n if injected else pick("n", int, _EXPERIMENT.n)
     k = None if injected else pick("k", int, _EXPERIMENT.k)
@@ -267,7 +279,7 @@ def _cmd_simulate(args) -> int:
         active_sizes=tuple(sizes),
         master_seed=pick("seed", int, _EXPERIMENT.master_seed),
         propagation=PropagationConfig(
-            tolerance=pick("tolerance", float, _EXPERIMENT.propagation.tolerance),
+            tolerance=tolerance,
             max_iterations=pick("max-iterations", int, _EXPERIMENT.propagation.max_iterations),
             stranded_policy=StrandedPolicy(policy_name),
         ),

@@ -34,8 +34,8 @@ from .network import ActiveSet, TrustNetwork
 CONSERVATION_TOL = 1e-6
 #: byte limit of one trial's T x T block in the exact solve; a larger one raises MemoryError
 EXACT_BLOCK_BYTES = 2**30
-#: byte budget of a kernel pass and of a T x T block solved without elimination (README)
-_PASS_BYTES = 2**20
+#: largest T x T block solved without elimination first (T <= 362; README)
+_GATE_BYTES = 2**20
 #: largest fill p s (transient predecessors times successors) of a node eliminated before the dense solve
 _FILL = 64
 
@@ -324,11 +324,11 @@ def _absorb(
         nodes, core, steps = b * n, transient, []
         y, d = np.ones((2, nodes))
         qs, qt, qw = src[into_t], tgt[into_t], w[into_t]
-        if int(t_count.max()) ** 2 * 8 > _PASS_BYTES:
-            # a trial over the pass budget first eliminates, round by round, an independent set of
+        if int(t_count.max()) ** 2 * 8 > _GATE_BYTES:
+            # a trial over the gate first eliminates, round by round, an independent set of
             # nodes of low fill (README): in-edge u -> v and out-edge v -> z of a node v that goes
             # add q(v, z) rhs[v] / d[v] to rhs[z] and q(u, v) q(v, z) / d[v] to u -> z (z = u: off d[u])
-            gated = np.repeat(t_count ** 2 * 8 > _PASS_BYTES, n)
+            gated = np.repeat(t_count ** 2 * 8 > _GATE_BYTES, n)
             # Fibonacci hash of the local id, so a trial's rounds do not depend on its batch
             h = (np.arange(nodes) % n).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             while True:

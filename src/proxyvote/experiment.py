@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .decisions import _decide, decision_error
-from .delegation import _PASS_BYTES, DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
+from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
 from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
 
 SOLVERS = ("exact", "iterative")
+#: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
+_PASS_BYTES = 2**21
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:
@@ -254,6 +255,8 @@ def run_experiment(
     if workers == 1:
         fill(map(run_pass, passes))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # 2 MiB a serial run never loads (README)
+
         count = sum(-(-config.trials // step) for step in per_pass.values())
         chunk = -(-count // (4 * workers * len(sizes)))
         with ProcessPoolExecutor(max_workers=workers) as pool:

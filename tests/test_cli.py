@@ -145,6 +145,29 @@ def test_exit_code_validation_errors(four_node_paths, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tolerance", ["1e-3", "inf", "1e-6"])
+def test_tolerance_over_the_conservation_bound_exit_2(tolerance, four_node_paths, tmp_path, capsys):
+    # the iterative solve drops up to its tolerance of residual trust, so one
+    # over CONSERVATION_TOL breaks the weights' sum of n; from the flag or the
+    # config file, it is refused before any solve
+    nodes, edges = four_node_paths
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"tolerance={tolerance}\n")
+    solve = ("--nodes", nodes, "--edges", edges, "--active", "2,3", "--tolerance", tolerance)
+    simulate = ("simulate", "--n", "20", "--trials", "4", "--sizes", "5", "--solver", "iterative")
+    for args in (("weights",) + solve, ("decide",) + solve,
+                 simulate + ("--tolerance", tolerance), simulate + ("--config", str(cfg))):
+        code = run_cli(*args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if tolerance == "1e-6":
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert err.splitlines()[-1] == (f"error: tolerance must be at most 1e-06 (the bound on"
+                                            f" |sum of weights - n|), got {float(tolerance)}")
+
+
 def test_decide_hostile_files_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("n.csv").write_text("id,opinion\n0,0.5\n1,0.25\n2,0.75\n")

@@ -249,9 +249,9 @@ def test_exact_subnormal_cycle_raises_instead_of_nan(monkeypatch):
     net = _net([0.5] * 4, [(0, 1, 1.0), (0, 2, 1e-310), (1, 0, 1.0), (3, 0, 1e-309), (3, 2, 1.0)])
     with pytest.raises(SingularSystemError, match="absorption system reported singular"):
         compute_weights_exact(net, ActiveSet([2]))
-    # with no pass budget the cycle is eliminated first: 3 and 1 go in the
+    # with a gate of 0 the cycle is eliminated first: 3 and 1 go in the
     # first round, 1 lowers 0's pivot to exactly zero, and 0 meets it next
-    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    monkeypatch.setattr(delegation, "_GATE_BYTES", 0)
     with pytest.raises(SingularSystemError, match="absorption system reported singular: pivot"):
         compute_weights_exact(net, ActiveSet([2]))
 
@@ -263,7 +263,7 @@ def test_elimination_of_a_tree_leaves_no_dense_solve(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the core is empty")
 
-    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    monkeypatch.setattr(delegation, "_GATE_BYTES", 0)
     monkeypatch.setattr(delegation.np.linalg, "solve", boom)
     net = _net([0.5] * 6, [(0, 1, 1.0), (0, 2, 3.0), (1, 3, 1.0), (2, 4, 1.0), (2, 5, 1.0),
                            (5, 3, 1.0)])
@@ -286,7 +286,7 @@ def test_elimination_with_fill_leaves_no_dense_solve(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the core is empty")
 
-    monkeypatch.setattr(delegation, "_PASS_BYTES", 0)
+    monkeypatch.setattr(delegation, "_GATE_BYTES", 0)
     monkeypatch.setattr(delegation.np.linalg, "solve", boom)
     net = _net([0.5] * 6, [(0, 4, 1.0), (1, 2, 2.0), (1, 3, 1.0), (1, 5, 1.0), (2, 1, 2.0),
                            (2, 3, 1.0), (2, 5, 1.0), (3, 1, 1.0), (3, 2, 1.0)])
@@ -297,7 +297,7 @@ def test_elimination_with_fill_leaves_no_dense_solve(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2**16), st.sampled_from(list(StrandedPolicy)))
 def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
-    # with no pass budget every trial eliminates before its dense solve; zero-trust
+    # with a gate of 0 every trial eliminates before its dense solve; zero-trust
     # edges strand nodes and cut in-degrees, so chains, trees and cycles vary
     rng = np.random.default_rng(seed)
     net = generate_network(n, int(rng.integers(1, n)), rng)
@@ -313,7 +313,7 @@ def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
 
     dense = solve()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delegation, "_PASS_BYTES", 0)
+        patch.setattr(delegation, "_GATE_BYTES", 0)
         eliminated = solve()
     if isinstance(dense, type):
         assert eliminated is dense
@@ -333,7 +333,7 @@ def test_elimination_at_the_benchmark_shape_agrees(seed, monkeypatch):
     active = ActiveSet(rng.choice(2000, size=100, replace=False))
     eliminated = compute_weights_exact(net, active)
     iterative = compute_weights_iterative(net, active)
-    monkeypatch.setattr(delegation, "_PASS_BYTES", 2**30)  # no round runs
+    monkeypatch.setattr(delegation, "_GATE_BYTES", 2**30)  # no round runs
     dense = compute_weights_exact(net, active)
     weights = np.array(list(eliminated.weights.values()))
     np.testing.assert_allclose(weights, list(dense.weights.values()), rtol=1e-12)
@@ -380,6 +380,19 @@ def test_exact_refuses_dense_blocks_over_the_limit(monkeypatch):
     assert peak < core * core * 8 < 8 * 2**20
     vector = compute_weights_iterative(net, active)
     assert vector.total() == pytest.approx(2000, abs=1e-6)
+
+
+def test_elimination_gate_is_a_1_mib_block():
+    # the gate is one trial's T x T block over 1 MiB (T > 362), whatever the
+    # kernel's pass budget.  A 10-node clique (fill 9 x 10, over 64) feeds a
+    # chain into its last node: at T = 363 the chain is eliminated and the
+    # clique alone is factored, at T = 362 the whole block is
+    for t, core in ((363, 10), (362, 362)):
+        edges = [(i, j, 0.5) for i in range(10) for j in range(11) if i != j]
+        net = _net([0.5] * (t + 1), edges + [(i, i + 1, 0.5) for i in range(10, t)])
+        active = ActiveSet([t])
+        assert exact_core_count(net, active) == core
+        assert compute_weights_exact(net, active).weights[t] == pytest.approx(t + 1, abs=1e-6)
 
 
 def test_exact_solves_a_long_chain_in_few_rounds():
@@ -649,12 +662,12 @@ def test_iterative_solve_memory_is_linear_in_edges():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 2**16),
        st.sampled_from([1e-9, 1e-3, 1.5, 4.5]), st.sampled_from([3, 100_000]), st.booleans(),
-       st.sampled_from([0, delegation._PASS_BYTES, None]))
-def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact, pass_bytes):
+       st.sampled_from([0, delegation._GATE_BYTES, None]))
+def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exact, gate_bytes):
     # trials of one pass that stop after different sweep counts, or sweep
     # not at all, or share a stacked exact solve, with or without eliminating
     # first, leave each other's weights, masses and counts alone; zero-trust
-    # edges vary the transient count from trial to trial; a budget of None is
+    # edges vary the transient count from trial to trial; a gate of None is
     # 8 T^2 at the batch's least T, so its other trials eliminate and these do not
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, n + 1))
@@ -663,8 +676,8 @@ def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exa
                          net.raw_trust * (rng.random(len(net.raw_trust)) < 0.7)) for net in nets]
     active = np.sort([rng.choice(n, size=size, replace=False) for _ in range(b)], axis=1)
     config = PropagationConfig(tolerance, budget, StrandedPolicy.UNIFORM_TO_ACTIVE)
-    if pass_bytes is None:
-        pass_bytes = 8 * min(np.count_nonzero(delegation._reach(
+    if gate_bytes is None:
+        gate_bytes = 8 * min(np.count_nonzero(delegation._reach(
             net.edge_source, net.edge_target, net.normalized_trust, ids, n)) - size
             for net, ids in zip(nets, active)) ** 2
 
@@ -682,7 +695,7 @@ def test_batch_gives_each_trial_its_lone_bits(n, b, seed, tolerance, budget, exa
             return None
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(delegation, "_PASS_BYTES", pass_bytes)
+        patch.setattr(delegation, "_GATE_BYTES", gate_bytes)
         batch, singles = absorb(list(range(b))), [absorb([i]) for i in range(b)]
     if batch is None:
         assert None in singles

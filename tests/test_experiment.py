@@ -4,7 +4,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from pathlib import Path
 
 import numpy as np
@@ -175,12 +175,12 @@ def test_run_experiment_deterministic_and_schedule_independent():
 def test_run_experiment_starts_at_most_one_pool(monkeypatch):
     pools = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     config = ExperimentConfig(n=20, k=2, trials=7, active_sizes=(2, 5, 20), master_seed=4)
     parallel = run_experiment(config, workers=2)
     assert len(pools) == 1
@@ -344,7 +344,7 @@ def test_pass_size_by_bytes():
     # passes grow as the dense block shrinks with the active size; at
     # n=2000 one trial's dense block alone passes the budget
     assert [experiment._pass_trials(100, 300, s) for s in (2, 5, 10, 20, 50, 100)] == [
-        10, 11, 12, 14, 26, 54]
+        21, 22, 24, 29, 53, 109]
     assert experiment._pass_trials(2000, 6000, 2) == 1
 
 
@@ -362,7 +362,7 @@ def test_passes_of_several_trials_fit_the_budget():
 
 def test_injected_network_passes_are_costed_at_its_edges():
     # a complete 100-node network has 9,900 edges; a pass costed at a k of 3
-    # would hold 10 trials and about 7 MB of edge arrays
+    # would hold 21 trials and trace a peak of about 28 MiB, against 2.7 MiB
     net = generate_network(100, 99, np.random.default_rng(5))
     config = ExperimentConfig(n=100, k=3, trials=40, active_sizes=(2,), master_seed=2,
                               fresh_network_per_trial=False, propagation=UNIFORM)
@@ -373,7 +373,7 @@ def test_injected_network_passes_are_costed_at_its_edges():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert peak < 2 * experiment._PASS_BYTES
 
 
 def test_block_raises_lowest_index_failing_trial(monkeypatch):
@@ -408,6 +408,18 @@ def test_absurd_trial_count_raises_before_any_pass(monkeypatch):
         with pytest.raises(MemoryError):
             run_experiment(ExperimentConfig(trials=10**15, active_sizes=(2,)), workers=workers)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024  # KiB
+
+
+def test_import_leaves_the_process_pool_unimported():
+    # concurrent.futures and multiprocessing cost about 2 MiB of RSS; only a
+    # run with workers > 1 imports them
+    code = ("import sys; import proxyvote, proxyvote.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_experiment_leaves_numpy_ma_unimported():
