@@ -5,8 +5,9 @@ Subcommands: ``generate`` (write a random network), ``weights``
 ``simulate`` (Monte Carlo error comparison, CSV), ``validate`` (list
 invariant violations).
 
-Exit codes: 0 success, 1 usage error, 2 validation, parse or out-of-memory
-error, 3 stranded trust / no convergence / ill-conditioned exact solve.
+Exit codes: 0 success, 1 usage error, 2 validation, parse, file or
+out-of-memory error, 3 stranded trust / no convergence / ill-conditioned
+exact solve.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def _cmd_simulate(args) -> int:
         # default grid capped to the population: sizes below n, then n itself
         sizes = [s for s in _EXPERIMENT.active_sizes if s < n] + [n]
     else:
-        sizes = fileio.parse_id_list(sizes)
+        sizes = fileio.parse_id_list(sizes, "active size")
     policy_name = pick("stranded-policy", str, _EXPERIMENT.propagation.stranded_policy.value)
     if policy_name not in _POLICIES:
         raise ValueError(f"unknown stranded policy {policy_name!r}")

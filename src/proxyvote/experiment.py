@@ -11,13 +11,14 @@ trial index), so results are identical no matter how trials are ordered
 or distributed across worker processes.
 
 One kernel runs every trial, in passes of one size's trials sized by
-``_pass_trials``.  Each trial draws from its own stream as a lone trial
-would: its network as one ``rng.random(n * (k + 1))`` call, then its
-active set.  The rest runs on arrays with a leading trial axis: the
-pass's (B, n * (k + 1)) uniforms become opinions, picks and targets in
-one go (``_draw_targets``), and ``_reach`` searches and ``_absorb`` solves
-the pass as one graph of disjoint copies, trials with equal transient
-count T sharing one stacked (G, T, T) solve.  Each trial's bits are those
+``_pass_trials``.  Each trial draws from its own stream, seeded together
+with the pass's others by ``_trial_rngs``, as a lone trial would: its
+network as one ``rng.random(n * (k + 1))`` call, then its active set.
+The rest runs on arrays with a leading trial axis: the pass's
+(B, n * (k + 1)) uniforms become opinions, picks and targets in one go
+(``_draw_targets``), and ``_reach`` searches and ``_absorb`` solves the
+pass as one graph of disjoint copies, trials with equal transient count
+T sharing one stacked (G, T, T) solve.  Each trial's bits are those
 of the trial run alone.
 """
 
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .network import TrustNetwork, _draw_targets, _shares, generate_network, tru
 SOLVERS = ("exact", "iterative")
 #: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
 _PASS_BYTES = 2**21
+#: SeedSequence.generate_state's hash constants INIT_B * MULT_B**j: output word j
+#: is its pool word xored with constant j, then multiplied by constant j + 1
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**j % 2**32 for j in range(9)], np.uint32)
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:
@@ -60,6 +65,13 @@ def analytic_traditional_error(active_size: int, n: int) -> float:
     return math.sqrt(2.0 / math.pi) * math.sqrt(max(variance, 0.0))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a float, string or bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of one Monte Carlo experiment."""
@@ -77,7 +89,10 @@ class ExperimentConfig:
     solver: str = "exact"
 
     def __post_init__(self):
-        object.__setattr__(self, "active_sizes", tuple(int(s) for s in self.active_sizes))
+        for name in ("n", "trials", "master_seed") + (() if self.k is None else ("k",)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "active_sizes",
+                           tuple(_integer("active_sizes", s) for s in self.active_sizes))
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.k is not None and not 1 <= self.k <= self.n - 1:
@@ -180,6 +195,51 @@ def _pass_trials(n: int, edges: int, size: int) -> int:
     return max(1, _PASS_BYTES // (8 * (n - size) ** 2 + 64 * edges))
 
 
+def _words(value: int) -> list[int]:
+    """The 32-bit words of ``value``, least significant first, as SeedSequence
+    splits an int of its entropy (0 is one word)."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+@cache
+def _seeded() -> type:
+    """An ISeedSequence holding one precomputed ``generate_state(4, np.uint64)``
+    row, the only state PCG64 asks of its seed.  Built on first use, so
+    importing the package leaves ``numpy.random`` unimported."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Seeded
+
+
+def _trial_rngs(seed: int, size: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
+    """The generators ``default_rng(SeedSequence([seed, size, i]))`` of trials
+    i = lo..hi-1 in turn, stream for stream.  SeedSequence mixes each trial's
+    entropy, given as the uint32 words it would split the ints into, to its
+    4-word pool; the pass's pools then go through generate_state's hash as one
+    array: 8 words a row, paired little-endian into PCG64's 4 seed words."""
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    head = _words(seed) + _words(size)
+    pools = np.array([SeedSequence(np.array(head + _words(i), np.uint32)).pool
+                      for i in range(lo, hi)])
+    state = np.tile(pools, 2) ^ _STATE_HASH[:-1]
+    state *= _STATE_HASH[1:]
+    state ^= state >> 16
+    seeded = _seeded()
+    for row in state.astype("<u4").view("<u8").astype(np.uint64):
+        yield Generator(PCG64(seeded(row)))
+
+
 def _kernel(
     config: ExperimentConfig, network: TrustNetwork | None, size: int, lo: int, hi: int
 ) -> list[tuple[float, float, bool]]:
@@ -188,8 +248,7 @@ def _kernel(
     n, k, b = config.n, config.k, hi - lo
     uniforms = np.empty((b, n * (k + 1))) if network is None else None
     active = []
-    for j, i in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, size, i]))
+    for j, rng in enumerate(_trial_rngs(config.master_seed, size, lo, hi)):
         if network is None:
             rng.random(out=uniforms[j])
         active.append(rng.choice(n, size=size, replace=False))

@@ -255,9 +255,10 @@ def parse_config_file(path: str | os.PathLike, allowed: Iterable[str]) -> dict[s
     return values
 
 
-def parse_id_list(text: str) -> list[int]:
-    """Comma-separated node ids; empty entries are ignored."""
-    return [_node_id(piece) for piece in map(str.strip, text.split(",")) if piece]
+def parse_id_list(text: str, what: str = "node id") -> list[int]:
+    """Comma-separated integers, each a ``what`` in a parse error; empty entries
+    are ignored."""
+    return [_node_id(piece, what=what) for piece in map(str.strip, text.split(",")) if piece]
 
 
 def load_id_file(path: str | os.PathLike) -> list[int]:
@@ -266,16 +267,19 @@ def load_id_file(path: str | os.PathLike) -> list[int]:
             if not line.strip().startswith("#")]
 
 
-def _node_id(text: str, where: str = "") -> int:
+def _node_id(text: str, where: str = "", what: str = "node id") -> int:
     try:
         return int(text)
     except ValueError:
-        raise NetworkFormatError(f"{where}could not parse node id {text!r}") from None
+        raise NetworkFormatError(f"{where}could not parse {what} {text!r}") from None
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_text(path: str | os.PathLike) -> str:

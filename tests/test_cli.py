@@ -78,6 +78,21 @@ def test_weights_output_file_round_trips(four_node_paths, tmp_path):
     assert _parse_kv(text) == {"2": 1.5, "3": 2.5}
 
 
+@pytest.mark.parametrize("where, reason", [("missing/x.txt", "No such file or directory"),
+                                           (".", "Is a directory")])
+def test_unwritable_output_path_exits_2(where, reason, four_node_paths, tmp_path, capsys):
+    # every command that writes a file names the path it could not write
+    nodes, edges = four_node_paths
+    path = str(tmp_path / where)
+    solve = ("--nodes", nodes, "--edges", edges, "--active", "2,3", "--output", path)
+    for args in (("weights",) + solve, ("decide",) + solve,
+                 ("simulate", "--n", "10", "--trials", "2", "--sizes", "2", "--output", path),
+                 ("generate", "--n", "10", "--nodes", path, "--edges", str(tmp_path / "e.csv")),
+                 ("generate", "--n", "10", "--nodes", str(tmp_path / "n.csv"), "--edges", path)):
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {reason}"
+
+
 def test_generate_then_validate_and_determinism(tmp_path, capsys):
     a_nodes, a_edges = str(tmp_path / "an.csv"), str(tmp_path / "ae.csv")
     b_nodes, b_edges = str(tmp_path / "bn.csv"), str(tmp_path / "be.csv")
@@ -133,6 +148,14 @@ def test_exit_code_usage_errors(four_node_paths, capsys):
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
     capsys.readouterr()
+
+
+def test_unparsable_id_or_size_is_named(four_node_paths, capsys):
+    nodes, edges = four_node_paths
+    assert run_cli("weights", "--nodes", nodes, "--edges", edges, "--active", "2,2.5") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: could not parse node id '2.5'"
+    assert run_cli("simulate", "--n", "10", "--trials", "2", "--sizes", "2,2.5") == 2
+    assert capsys.readouterr().err == "error: could not parse active size '2.5'\n"
 
 
 def test_exit_code_validation_errors(four_node_paths, capsys):

@@ -252,6 +252,46 @@ def test_experiment_config_validation():
         run_experiment(ExperimentConfig(trials=1, active_sizes=(2,)), workers=os.cpu_count() + 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 30.0), ("k", 3.0), ("trials", 5.0), ("master_seed", 1.5), ("active_sizes", (2.5,)),
+    ("n", "30"), ("active_sizes", ("2",)), ("trials", True), ("k", False),
+])
+def test_experiment_config_refuses_fields_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_stores_numpy_integers_as_int():
+    config = ExperimentConfig(n=np.int64(30), k=np.uint8(3), trials=np.int32(5),
+                              active_sizes=(np.int64(2), np.uint16(30)),
+                              master_seed=np.uint64(2**64 - 1))
+    fields = (config.n, config.k, config.trials, config.master_seed, *config.active_sizes)
+    assert [type(v) for v in fields] == [int] * 6
+    assert config.master_seed == 2**64 - 1
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]), st.integers(0, 2**96))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, data=st.data())
+def test_trial_rngs_are_the_trials_own_streams(seed, data):
+    # each generator of a pass must draw exactly as default_rng(SeedSequence(
+    # [seed, size, i])) does, for seeds and indices of one word or more
+    n = data.draw(st.integers(2, 60), label="n")
+    size = data.draw(st.integers(1, n), label="size")
+    count = data.draw(st.integers(1, 6), label="count")
+    lo = data.draw(st.one_of(st.integers(0, 50), st.integers(2**32 - count, 2**32),
+                             st.integers(0, 2**40)), label="lo")
+    rngs = list(experiment._trial_rngs(seed, size, lo, lo + count))
+    assert len(rngs) == count
+    for i, rng in enumerate(rngs, start=lo):
+        reference = np.random.default_rng(np.random.SeedSequence([seed, size, i]))
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+        assert rng.choice(n, size=size, replace=False).tolist() == \
+            reference.choice(n, size=size, replace=False).tolist()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_block_matches_blocks_of_one(data):
@@ -412,9 +452,10 @@ def test_absurd_trial_count_raises_before_any_pass(monkeypatch):
 
 def test_import_leaves_the_process_pool_unimported():
     # concurrent.futures and multiprocessing cost about 2 MiB of RSS; only a
-    # run with workers > 1 imports them
-    code = ("import sys; import proxyvote, proxyvote.cli; "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    # run with workers > 1 imports them.  numpy.random costs about 5.5 MiB;
+    # only a command that draws imports it
+    code = ("import sys; import proxyvote, proxyvote.cli; print(sorted("
+            "{'concurrent.futures', 'multiprocessing', 'numpy.random'} & set(sys.modules)))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
