@@ -37,7 +37,7 @@ EXACT_BLOCK_BYTES = 2**30
 #: largest T x T block solved without elimination first (T <= 362; README)
 _GATE_BYTES = 2**20
 #: largest fill p s (transient predecessors times successors) of a node eliminated before the dense solve
-_FILL = 64
+_FILL = 128
 
 
 class DelegationError(Exception):
@@ -182,7 +182,7 @@ def compute_weights_exact(
     ``CONSERVATION_TOL`` (a near-closed trust cycle), is surfaced as
     :class:`SingularSystemError`.  A T x T block over 1 MiB (T > 362) first
     eliminates, in rounds, its nodes of low fill (at most one transient
-    predecessor or successor, or at most 64 pairs of them), and factors only
+    predecessor or successor, or at most 128 pairs of them), and factors only
     the core of C nodes left (C = T otherwise); a C x C block over
     ``EXACT_BLOCK_BYTES`` (C > 11,585) raises MemoryError before it is allocated.
     """
@@ -336,17 +336,23 @@ def _absorb(
                 # edges stay one sorted run that timsort merges the fill into, repeats add in order
                 key = qt * nodes + qs
                 order = np.argsort(key, kind="stable")
-                first = np.diff(key := key[order], prepend=-1) != 0
-                qw, key = np.bincount(np.cumsum(first) - 1, qw[order]), key[first]
-                qt, qs = key // nodes, key % nodes
+                first = np.diff(key[order], prepend=-1) != 0
+                qw, merged = np.bincount(np.cumsum(first) - 1, qw[order]), order[first]
+                qt, qs = qt[merged], qs[merged]
                 p, s = np.bincount(qt, minlength=nodes), np.bincount(qs, minlength=nodes)
                 fill = p * s
-                gone = core & gated & ((p <= 1) | (s <= 1) | (fill <= _FILL))
-                # of two candidates joined by an edge, the one of higher key (p s, h) waits
-                both = gone[qs] & gone[qt]
-                tail, head = qs[both], qt[both]
-                later = (fill[tail] > fill[head]) | (fill[tail] == fill[head]) & (h[tail] > h[head])
-                gone[np.where(later, tail, head)] = False
+                free = core & gated & ((p <= 1) | (s <= 1) | (fill <= _FILL))
+                tail, head, gone, won = qs, qt, np.zeros(nodes, dtype=bool), free
+                # Luby to completion (README): a free node of key (p s, h) below its free neighbours' goes,
+                # and it and they leave the free set; a pass where none goes (self-loops lose) ends it
+                while won.any() and free.any():
+                    both = free[tail] & free[head]
+                    tail, head = tail[both], head[both]
+                    later = (fill[tail] > fill[head]) | (fill[tail] == fill[head]) & (h[tail] > h[head])
+                    won = free.copy()
+                    won[np.where(later, tail, head)] = False
+                    gone |= won
+                    free[tail[won[head]]] = free[head[won[tail]]] = free[won] = False
                 if not gone.any():
                     break
                 if not (d[gone] > 0.0).all():

@@ -53,6 +53,9 @@ def format_network(network: TrustNetwork) -> tuple[str, str]:
 
 
 def save_network(network: TrustNetwork, nodes_path: str | os.PathLike, edges_path: str | os.PathLike) -> None:
+    for path in (nodes_path, edges_path):  # before either is written: no half network is left
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            write_text(path, "")  # its open fails, creating nothing, and raises the error
     nodes_text, edges_text = format_network(network)
     write_text(nodes_path, nodes_text)
     write_text(edges_path, edges_text)

@@ -57,3 +57,18 @@ def exact_core_count(net: TrustNetwork, active: ActiveSet) -> int:
         compute_weights_exact(net, active)
     (shape,) = shapes
     return shape[1]
+
+
+def elimination_rounds(net: TrustNetwork, active: ActiveSet) -> int:
+    """The elimination rounds of the exact solve: each round starts with the one
+    stable argsort that merges repeated edges, and a last merge finds none to go."""
+    calls, argsort = [], np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return argsort(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argsort", spy)
+        compute_weights_exact(net, active)
+    return max(len(calls) - 1, 0)

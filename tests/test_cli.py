@@ -93,6 +93,14 @@ def test_unwritable_output_path_exits_2(where, reason, four_node_paths, tmp_path
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {reason}"
 
 
+@pytest.mark.parametrize("where", ["missing/e.csv", "."])
+def test_generate_with_an_unwritable_edges_path_writes_no_nodes_file(where, tmp_path, capsys):
+    nodes, edges = tmp_path / "n.csv", str(tmp_path / where)
+    assert run_cli("generate", "--n", "10", "--k", "2", "--nodes", str(nodes), "--edges", edges) == 2
+    assert capsys.readouterr().err.startswith(f"error: {edges}: ")
+    assert not nodes.exists()
+
+
 def test_generate_then_validate_and_determinism(tmp_path, capsys):
     a_nodes, a_edges = str(tmp_path / "an.csv"), str(tmp_path / "ae.csv")
     b_nodes, b_edges = str(tmp_path / "bn.csv"), str(tmp_path / "be.csv")
@@ -258,7 +266,7 @@ def test_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
 
 def test_exact_weights_over_block_limit_exit_2(tmp_path, monkeypatch, capsys):
     # with the limit one byte below the dense core left after elimination
-    # (about 600 of the 1,900 transient nodes at n=2000, k=3, 100 active)
+    # (about 540 of the 1,900 transient nodes at n=2000, k=3, 100 active)
     rng = np.random.default_rng(1)
     net = generate_network(2000, 3, rng)
     active = ActiveSet(rng.choice(2000, size=100, replace=False))

@@ -23,7 +23,7 @@ from proxyvote import (
     reachability_partition,
 )
 from proxyvote import delegation
-from conftest import exact_core_count, random_instance
+from conftest import elimination_rounds, exact_core_count, random_instance
 
 UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
 
@@ -294,6 +294,16 @@ def test_elimination_with_fill_leaves_no_dense_solve(monkeypatch):
     assert compute_weights_exact(net, ActiveSet([4, 5])).weights == {4: 2.0, 5: 4.0}
 
 
+def test_elimination_keeps_a_self_loop_in_the_core(monkeypatch):
+    # 1 keeps half its trust on a self-loop, so it is its own neighbour of equal
+    # key and never goes: the first round takes 0 (rhs[1] = 2), the second
+    # picks nothing and ends the rounds, and the core 1 x 1 block gives y1 = 4
+    monkeypatch.setattr(delegation, "_GATE_BYTES", 0)
+    net = TrustNetwork([0.5] * 3, [0, 1, 1], [1, 1, 2], [1.0, 0.5, 0.5])
+    assert exact_core_count(net, ActiveSet([2])) == 1
+    assert compute_weights_exact(net, ActiveSet([2])).weights == {2: 3.0}
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2**16), st.sampled_from(list(StrandedPolicy)))
 def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
@@ -326,7 +336,7 @@ def test_elimination_agrees_with_the_dense_solve(n, seed, policy):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_elimination_at_the_benchmark_shape_agrees(seed, monkeypatch):
-    # n=2000, k=3, 100 active: T = 1,900, of which about 600 are left for the
+    # n=2000, k=3, 100 active: T = 1,900, of which about 540 are left for the
     # dense core; fill edges and merged repeats are many here
     rng = np.random.default_rng(seed)
     net = generate_network(2000, 3, rng)
@@ -340,9 +350,20 @@ def test_elimination_at_the_benchmark_shape_agrees(seed, monkeypatch):
     np.testing.assert_allclose(weights, list(iterative.weights.values()), rtol=0, atol=1e-9)
 
 
+def test_elimination_rounds_at_the_benchmark_shape():
+    # a round runs Luby's pick to completion, so it takes a maximal independent
+    # set of the candidates: over seeds 1-100 at n=2000, k=3, 100 active the
+    # solve took 5-7 rounds, where one Luby step per round took 10-13
+    for seed in range(1, 21):
+        rng = np.random.default_rng(seed)
+        net = generate_network(2000, 3, rng)
+        active = ActiveSet(rng.choice(2000, size=100, replace=False))
+        assert elimination_rounds(net, active) <= 7
+
+
 def test_exact_solve_memory_is_that_of_the_core():
-    # at n=2000 about 600 of the 1,900 transient nodes are left after
-    # elimination (2.7 MiB of core block, 4.2 MiB traced peak); the full
+    # at n=2000 about 540 of the 1,900 transient nodes are left after
+    # elimination (2.2 MiB of core block, 4.3 MiB traced peak); the full
     # T x T block alone would take 27.5 MiB
     rng = np.random.default_rng(1)
     net = generate_network(2000, 3, rng)
@@ -357,7 +378,7 @@ def test_exact_solve_memory_is_that_of_the_core():
 
 
 def test_exact_refuses_dense_blocks_over_the_limit(monkeypatch):
-    # n=2000, k=3, 100 active: T = 1,900, and about 600 nodes are left for the
+    # n=2000, k=3, 100 active: T = 1,900, and about 540 nodes are left for the
     # dense core.  The guard is on the core, after elimination: a limit that
     # admits the core block but not the T x T one solves, and a limit one byte
     # below the core block refuses before the block is allocated, while the
@@ -384,12 +405,14 @@ def test_exact_refuses_dense_blocks_over_the_limit(monkeypatch):
 
 def test_elimination_gate_is_a_1_mib_block():
     # the gate is one trial's T x T block over 1 MiB (T > 362), whatever the
-    # kernel's pass budget.  A 10-node clique (fill 9 x 10, over 64) feeds a
-    # chain into its last node: at T = 363 the chain is eliminated and the
-    # clique alone is factored, at T = 362 the whole block is
-    for t, core in ((363, 10), (362, 362)):
-        edges = [(i, j, 0.5) for i in range(10) for j in range(11) if i != j]
-        net = _net([0.5] * (t + 1), edges + [(i, i + 1, 0.5) for i in range(10, t)])
+    # kernel's pass budget.  A 13-node clique (fill 12 x 13, and 12 x 12 once the
+    # chain is gone: just over 128) feeds a chain into its last node: at T = 363
+    # the chain is eliminated and the clique alone is factored, at T = 362 the
+    # whole block is
+    assert 12 * 12 > delegation._FILL >= 11 * 11
+    for t, core in ((363, 13), (362, 362)):
+        edges = [(i, j, 0.5) for i in range(13) for j in range(14) if i != j]
+        net = _net([0.5] * (t + 1), edges + [(i, i + 1, 0.5) for i in range(13, t)])
         active = ActiveSet([t])
         assert exact_core_count(net, active) == core
         assert compute_weights_exact(net, active).weights[t] == pytest.approx(t + 1, abs=1e-6)
