@@ -76,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--edges", required=True)
     val.set_defaults(func=_cmd_validate)
 
-    for name, fn, help_text in (
-        ("weights", _cmd_weights, "delegation weights for an active set"),
-        ("decide", _cmd_decide, "decision report for an active set"),
+    for name, help_text in (
+        ("weights", "delegation weights for an active set"),
+        ("decide", "decision report for an active set"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--nodes", required=True)
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--stranded-policy", choices=_POLICIES,
                          default=_PROPAGATION.stranded_policy.value)
         cmd.add_argument("--output", help="write to this path instead of stdout")
-        cmd.set_defaults(func=fn)
+        cmd.set_defaults(func=_cmd_solve)
 
     sim = sub.add_parser("simulate", help="Monte Carlo decision-error experiment")
     sim.add_argument("--n", type=int, default=None)
@@ -215,20 +215,14 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_weights(args) -> int:
+def _cmd_solve(args) -> int:
     network = _load(args.nodes, args.edges)
     active = _active_set(args)
     vector = _weight_vector(args, network, active)
-    _emit(fileio.format_weights(vector), args.output)
-    return 0
-
-
-def _cmd_decide(args) -> int:
-    network = _load(args.nodes, args.edges)
-    active = _active_set(args)
-    vector = _weight_vector(args, network, active)
-    report = decision_report(network, active, vector)
-    _emit(fileio.format_report(report), args.output)
+    if args.command == "weights":
+        _emit(fileio.format_weights(vector), args.output)
+    else:
+        _emit(fileio.format_report(decision_report(network, active, vector)), args.output)
     return 0
 
 

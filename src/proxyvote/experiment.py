@@ -14,12 +14,12 @@ One kernel runs every trial, in passes of one size's trials sized by
 ``_pass_trials``.  Each trial draws from its own stream, seeded together
 with the pass's others by ``_trial_rngs``, as a lone trial would: its
 network as one ``rng.random(n * (k + 1))`` call, then its active set.
-The rest runs on arrays with a leading trial axis: the pass's
-(B, n * (k + 1)) uniforms become opinions, picks and targets in one go
-(``_draw_targets``), and ``_reach`` searches and ``_absorb`` solves the
-pass as one graph of disjoint copies, trials with equal transient count
-T sharing one stacked (G, T, T) solve.  Each trial's bits are those
-of the trial run alone.
+The rest runs on arrays with a leading trial axis: ``generate_network``'s
+builder turns the pass's (B, n * (k + 1)) uniforms into its networks, and
+``_reach`` searches and ``_absorb`` solves the pass as one graph of disjoint
+copies, trials with equal transient count T sharing one stacked (G, T, T)
+solve.  A pass returns a row (err_traditional, err_weighted, stranded mass)
+per trial, each with the bits of the trial run alone.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .decisions import _decide, decision_error
 from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
-from .network import TrustNetwork, _draw_targets, _shares, generate_network, trust_value
+from .network import TrustNetwork, _draw_networks, _shares, generate_network
 
 SOLVERS = ("exact", "iterative")
 #: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
@@ -167,15 +167,17 @@ def run_trial(
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
     network = _trial_network(config, network)
-    return _trial_block(config, network, (active_size, trial_index, trial_index + 1))[0]
+    block = (active_size, trial_index, trial_index + 1)
+    err_t, err_w, mass = _trial_block(config, network, block)[0].tolist()
+    return err_t, err_w, mass > 0.0
 
 
 def _trial_block(
     config: ExperimentConfig, network: TrustNetwork | None, block: tuple[int, int, int]
-) -> list[tuple[float, float, bool]]:
-    """Triples of trials start..stop-1 at one size, run as one kernel pass.  A
-    failing pass is re-run a trial at a time, so the lowest-index failing trial's
-    error is raised, with ``trial`` set to (active size, trial index, master seed)."""
+) -> np.ndarray:
+    """Rows of trials start..stop-1 at one size, run as one kernel pass.  A failing
+    pass is re-run a trial at a time: the lowest-index failing trial raises, with
+    ``trial`` set to (active size, trial index, master seed), or the lone rows return."""
     size, start, stop = block
     try:
         return _kernel(config, network, size, start, stop)
@@ -183,9 +185,8 @@ def _trial_block(
         if stop - start == 1:
             exc.trial = (size, start, config.master_seed)
             raise
-        for i in range(start, stop):  # the lowest-index failing trial raises here
-            _trial_block(config, network, (size, i, i + 1))
-        raise
+        return np.vstack([_trial_block(config, network, (size, i, i + 1))
+                          for i in range(start, stop)])
 
 
 def _pass_trials(n: int, edges: int, size: int) -> int:
@@ -242,9 +243,9 @@ def _trial_rngs(seed: int, size: int, lo: int, hi: int) -> Iterator[np.random.Ge
 
 def _kernel(
     config: ExperimentConfig, network: TrustNetwork | None, size: int, lo: int, hi: int
-) -> list[tuple[float, float, bool]]:
-    """Trials lo..hi-1 at one active size in one pass; ``network`` None
-    draws a fresh network per trial."""
+) -> np.ndarray:
+    """Rows (err_traditional, err_weighted, stranded mass) of trials lo..hi-1 at
+    one size in one pass; ``network`` None draws a fresh network per trial."""
     n, k, b = config.n, config.k, hi - lo
     uniforms = np.empty((b, n * (k + 1))) if network is None else None
     active = []
@@ -255,10 +256,8 @@ def _kernel(
     active = np.sort(active, axis=1)
     offset = np.arange(0, b * n, n)[:, None]
     if network is None:
-        opinions, targets = _draw_targets(uniforms, n, k)
-        src = (np.repeat(np.arange(n), k) + offset).ravel()
-        tgt = (targets.reshape(b, -1) + offset).ravel()
-        norm = _shares(src, trust_value(opinions.ravel()[src], opinions.ravel()[tgt]), b * n)
+        opinions, src, tgt, raw = _draw_networks(uniforms, n, k)
+        norm = _shares(src, raw, b * n)
     else:
         opinions = np.broadcast_to(network.opinions, (b, n))
         src, tgt = (network.edge_source + offset).ravel(), (network.edge_target + offset).ravel()
@@ -269,7 +268,7 @@ def _kernel(
                                config.propagation.stranded_policy, sweeps)
     outcome, expected, weighted = _decide(opinions, active, weights)
     err_t, err_w = decision_error(outcome, expected), decision_error(weighted, expected)
-    return list(zip(err_t.tolist(), err_w.tolist(), (mass > 0.0).tolist()))
+    return np.column_stack((err_t, err_w, mass))
 
 
 def run_experiment(
@@ -297,18 +296,16 @@ def run_experiment(
     edges = config.n * config.k if network is None else network.edge_count
 
     sizes = sorted(config.active_sizes)
-    # one slot per trial, size after size
-    err_t, err_w = np.empty((2, len(sizes) * config.trials))
-    stranded = np.empty(len(sizes) * config.trials, dtype=bool)
+    rows = np.empty((len(sizes) * config.trials, 3))  # one row per trial, size after size
     per_pass = {size: _pass_trials(config.n, edges, size) for size in sizes}
     passes = ((size, start, min(start + per_pass[size], config.trials))
               for size in sizes for start in range(0, config.trials, per_pass[size]))
 
     def fill(results) -> None:  # passes come back in the slots' order
         stop = 0
-        for triples in results:
-            start, stop = stop, stop + len(triples)
-            err_t[start:stop], err_w[start:stop], stranded[start:stop] = zip(*triples)
+        for block in results:
+            start, stop = stop, stop + len(block)
+            rows[start:stop] = block
 
     run_pass = partial(_trial_block, config, network)
     if workers == 1:
@@ -320,14 +317,13 @@ def run_experiment(
         chunk = -(-count // (4 * workers * len(sizes)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fill(pool.map(run_pass, passes, chunksize=chunk))
-    shape = (len(sizes), config.trials)
-    rows = tuple(map(_aggregate, sizes, err_t.reshape(shape), err_w.reshape(shape),
-                     stranded.reshape(shape)))
-    return ExperimentResult(rows=rows, config=config)
+    stats = map(_aggregate, sizes, rows.reshape(len(sizes), config.trials, 3))
+    return ExperimentResult(rows=tuple(stats), config=config)
 
 
-def _aggregate(size: int, err_t: np.ndarray, err_w: np.ndarray, stranded: np.ndarray) -> ActiveSizeStats:
-    trials = len(err_t)
+def _aggregate(size: int, rows: np.ndarray) -> ActiveSizeStats:
+    trials = len(rows)
+    err_t, err_w, mass = rows.T
     scale = math.sqrt(trials)
     return ActiveSizeStats(
         active_size=size,
@@ -336,5 +332,5 @@ def _aggregate(size: int, err_t: np.ndarray, err_w: np.ndarray, stranded: np.nda
         stderr_traditional=float(np.std(err_t, ddof=1) / scale) if trials > 1 else 0.0,
         mean_err_weighted=float(np.mean(err_w)),
         stderr_weighted=float(np.std(err_w, ddof=1) / scale) if trials > 1 else 0.0,
-        stranded_fraction=float(np.mean(stranded)),
+        stranded_fraction=float(np.mean(mass > 0.0)),
     )

@@ -177,29 +177,30 @@ def generate_network(n: int, k: int, rng: np.random.Generator) -> TrustNetwork:
     rng : numpy.random.Generator
         Source of randomness; identical streams yield identical networks.
 
-    The network is one ``rng.random(n * (k + 1))`` draw: the first n
-    values are the opinions, uniform on [0, 1); the rest become the
-    targets (:func:`_draw_targets`) in O(n * k) time and memory.  Each
-    edge's raw trust is the opinion similarity of its endpoints
-    (:func:`trust_value`).
+    The network is one ``rng.random(n * (k + 1))`` draw, built by
+    :func:`_draw_networks` in O(n * k) time and memory.
     """
     if n < 2:
         raise ValueError(f"invalid configuration: need n >= 2, got n={n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"invalid configuration: need 1 <= k <= n-1, got k={k}, n={n}")
-    opinions, targets = _draw_targets(rng.random(n * (k + 1)), n, k)
-    src, tgt = np.repeat(np.arange(n, dtype=np.int64), k), targets.reshape(-1)
-    # opinions lie in [0, 1), so every raw trust is positive and no node dangles
-    return TrustNetwork(opinions, src, tgt, trust_value(opinions[src], opinions[tgt]))
+    opinions, src, tgt, raw = _draw_networks(rng.random((1, n * (k + 1))), n, k)
+    return TrustNetwork(opinions[0], src, tgt, raw)
 
 
-def _draw_targets(uniforms: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Opinions (..., n) and targets (..., n, k) of networks drawn as
-    (..., n * (k + 1)) uniforms on [0, 1): the first n are the opinions, and
-    the next n * k, read as n rows of k, become the picks of Floyd's sampling
-    (Bentley and Floyd, CACM 1987), row v's for node v (:func:`_floyd_picks`)."""
-    picks = _floyd_picks(uniforms[..., n:].reshape(*uniforms.shape[:-1], n, k), n)
-    return uniforms[..., :n], _targets(picks)
+def _draw_networks(uniforms: np.ndarray, n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Opinions (B, n) and flat src, tgt and raw trust of B networks drawn as
+    (B, n * (k + 1)) uniforms on [0, 1), node v of network b numbered b * n + v.
+    A row's first n values are its opinions; the next n * k, read as n rows of
+    k, become the picks of Floyd's sampling (Bentley and Floyd, CACM 1987), row
+    v's for node v (:func:`_floyd_picks`).  Raw trust is the opinion similarity
+    of an edge's endpoints (:func:`trust_value`), positive: no node dangles."""
+    b = len(uniforms)
+    targets = _targets(_floyd_picks(uniforms[:, n:].reshape(b, n, k), n))
+    src = np.repeat(np.arange(b * n, dtype=np.int64), k)
+    tgt = np.add(targets, np.arange(0, b * n, n)[:, None, None], out=targets).ravel()
+    opinions = uniforms[:, :n].ravel()
+    return opinions.reshape(b, n), src, tgt, trust_value(opinions[src], opinions[tgt])
 
 
 def _floyd_picks(uniforms: np.ndarray, n: int) -> np.ndarray:

@@ -133,6 +133,9 @@ def test_generate_rejects_bad_configuration(tmp_path, capsys):
     assert run_cli("generate", "--n", "1", "--k", "1", "--nodes", out_n, "--edges", out_e) == 2
     err = capsys.readouterr().err
     assert "invalid configuration" in err
+    assert run_cli("generate", "--seed", "-1", "--nodes", out_n, "--edges", out_e) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_validate_lists_violations(tmp_path, capsys):
@@ -143,6 +146,11 @@ def test_validate_lists_violations(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "opinion" in out and "self-loop" in out and "duplicate" in out
+    (tmp_path / "n.csv").write_text("id,opinion\n")  # a header and no rows
+    (tmp_path / "e.csv").write_text("source,target,trust\n")
+    assert run_cli("validate", "--nodes", str(tmp_path / "n.csv"),
+                   "--edges", str(tmp_path / "e.csv")) == 2
+    assert capsys.readouterr().out == f"{tmp_path / 'n.csv'}: no nodes\n"
 
 
 def test_exit_code_usage_errors(four_node_paths, capsys):
@@ -153,6 +161,7 @@ def test_exit_code_usage_errors(four_node_paths, capsys):
                    "--active", "2", "--active-file", "x") == 1
     assert run_cli("weights", "--nodes", nodes, "--edges", edges,
                    "--active", "2", "--bogus-flag") == 1
+    assert run_cli("simulate", "--nodes", nodes) == 1  # --nodes without --edges
     assert run_cli("frobnicate") == 1
     assert run_cli() == 1
     capsys.readouterr()
@@ -409,7 +418,7 @@ def _read_results(text):
     return rows, meta
 
 
-def test_simulate_rejects_bad_parameters(capsys):
+def test_simulate_rejects_bad_parameters(tmp_path, capsys):
     assert run_cli("simulate", "--n", "10", "--k", "2", "--trials", "5",
                    "--sizes", "11", "--seed", "1") == 2
     assert run_cli("simulate", "--n", "10", "--k", "12", "--trials", "5",
@@ -417,6 +426,12 @@ def test_simulate_rejects_bad_parameters(capsys):
     assert run_cli("simulate", "--n", "10", "--k", "2", "--trials", "5", "--sizes", "2",
                    "--workers", str(os.cpu_count() + 1)) == 2
     assert "workers" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    for line, err in [("fixed-network=maybe", "error: expected true/false, got 'maybe'\n"),
+                      ("stranded-policy=bogus", "error: unknown stranded policy 'bogus'\n")]:
+        cfg.write_text(f"n=10\ntrials=2\n{line}\n")
+        assert run_cli("simulate", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_simulate_stranded_error_same_across_workers(capsys):
@@ -487,11 +502,16 @@ def test_simulate_default_sizes_adapt_to_n(capsys):
     assert [r[0] for r in rows] == ["2", "5", "10", "20"]
 
 
-def test_simulate_fixed_network_flag(capsys):
-    assert run_cli("simulate", "--n", "12", "--k", "2", "--trials", "15",
-                   "--sizes", "3", "--seed", "2", "--fixed-network") == 0
-    _, meta = _read_results(capsys.readouterr().out)
+def test_simulate_fixed_network_flag(tmp_path, capsys):
+    args = ("simulate", "--n", "12", "--k", "2", "--trials", "15", "--sizes", "3", "--seed", "2")
+    assert run_cli(*args, "--fixed-network") == 0
+    out = capsys.readouterr().out
+    _, meta = _read_results(out)
     assert meta["fresh-network"] == "false"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("fixed-network=True\n")
+    assert run_cli(*args, "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_module_entry_point(four_node_paths):

@@ -34,6 +34,12 @@ from conftest import four_node_network
 UNIFORM = PropagationConfig(stranded_policy=StrandedPolicy.UNIFORM_TO_ACTIVE)
 
 
+def triples(rows):
+    """A pass's (err_traditional, err_weighted, stranded mass) rows as
+    run_trial's (err_traditional, err_weighted, stranded) triples."""
+    return [(err_t, err_w, mass > 0.0) for err_t, err_w, mass in rows.tolist()]
+
+
 def brute_force_traditional_error(active_size, n, samples=1_000_000, seed=123, batch=50_000):
     """Independent oracle: direct Monte Carlo of |active mean - population mean|
     for i.i.d. uniform opinions.  Opinions are exchangeable, so the sampled
@@ -295,7 +301,7 @@ def test_trial_rngs_are_the_trials_own_streams(seed, data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_block_matches_blocks_of_one(data):
-    # one pass of B trials must give exactly the triples of B passes of
+    # one pass of B trials must give exactly the rows of B passes of
     # one, or raise the error of the lowest-index failing trial
     n = data.draw(st.integers(2, 40), label="n")
     config = ExperimentConfig(
@@ -318,12 +324,13 @@ def test_batched_block_matches_blocks_of_one(data):
     singles, first_error = [], None
     for i in range(trials):
         try:
-            singles += experiment._trial_block(config, network, (size, i, i + 1))
+            singles.append(experiment._trial_block(config, network, (size, i, i + 1)))
         except (DelegationError, ValueError) as exc:
             first_error = exc
             break
     if first_error is None:
-        assert experiment._trial_block(config, network, (size, 0, trials)) == singles
+        batched = experiment._trial_block(config, network, (size, 0, trials))
+        assert batched.tolist() == np.vstack(singles).tolist()
         return
     with pytest.raises(type(first_error)) as excinfo:
         experiment._trial_block(config, network, (size, 0, trials))
@@ -350,7 +357,7 @@ def test_kernel_matches_the_public_calls(fresh):
             replica.append((report.error_traditional, report.error_weighted,
                             weights.stranded_mass > 0.0))
         assert [run_trial(config, size, i) for i in range(config.trials)] == replica
-        assert experiment._trial_block(config, shared, (size, 0, config.trials)) == replica
+        assert triples(experiment._trial_block(config, shared, (size, 0, config.trials))) == replica
 
 
 @pytest.mark.parametrize("fresh", [True, False])
@@ -364,7 +371,7 @@ def test_exact_block_limit_is_per_trial(monkeypatch, fresh):
     shared = experiment._trial_network(config, None)
     for size in config.active_sizes:
         singles = [run_trial(config, size, i) for i in range(config.trials)]
-        assert experiment._trial_block(config, shared, (size, 0, config.trials)) == singles
+        assert triples(experiment._trial_block(config, shared, (size, 0, config.trials))) == singles
     assert run_experiment(config, workers=2).rows == run_experiment(config, workers=1).rows
 
 
@@ -435,6 +442,22 @@ def test_block_raises_lowest_index_failing_trial(monkeypatch):
         with pytest.raises(NoConvergenceError) as excinfo:
             run_experiment(config, workers=workers)
         assert excinfo.value.trial == (3, 1, 1)
+
+
+def test_failing_pass_whose_trials_pass_alone_returns_their_rows(monkeypatch):
+    # a pass may fail as a whole (here: out of memory) though each of its
+    # trials runs alone; the run then gives the rows of the lone trials
+    config = ExperimentConfig(trials=5, active_sizes=(2, 5))
+    expected = run_experiment(config).rows
+    kernel = experiment._kernel
+
+    def small_passes_only(config, network, size, lo, hi):
+        if hi - lo > 1:
+            raise MemoryError("pass too large")
+        return kernel(config, network, size, lo, hi)
+
+    monkeypatch.setattr(experiment, "_kernel", small_passes_only)
+    assert run_experiment(config).rows == expected
 
 
 def test_absurd_trial_count_raises_before_any_pass(monkeypatch):

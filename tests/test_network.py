@@ -147,7 +147,7 @@ def test_generate_deterministic_per_seed():
     b = generate_network(50, 4, np.random.default_rng(np.random.SeedSequence(11)))
     c = generate_network(50, 4, np.random.default_rng(np.random.SeedSequence(12)))
     assert a == b
-    assert a != c
+    assert a != c and a != format_network(a)
     assert format_network(a) == format_network(b)
 
 
@@ -184,6 +184,8 @@ def test_out_of_range_endpoints_rejected():
         TrustNetwork([0.8, 0.8], [-1], [0], [1.0])
     with pytest.raises(ValueError, match="duplicate edges"):
         TrustNetwork([0.1, 0.5, 0.9], [0, 0, 1], [1, 1, 2], [0.5, 0.5, 1.0])
+    with pytest.raises(ValueError, match="edge arrays must have identical lengths"):
+        TrustNetwork([0.1, 0.5, 0.9], [0, 1], [1, 2, 0], [0.5, 0.5])
 
 
 _NOT_INT64 = [1.7, -0.5, float("nan"), float("inf"), 2.0**63, 10**30, -10**30]
@@ -267,6 +269,7 @@ def test_active_set_invariants():
     assert list(active) == [1, 3] and 3 in active and 2 not in active
     assert 3.0 in active and np.int64(1) in active
     assert active == ActiveSet([1, 3]) and hash(active) == hash(frozenset({1, 3}))
+    assert active != [1, 3] and repr(active) == "ActiveSet([1, 3])"
     active.validate_for(4)
     with pytest.raises(ValueError):
         active.validate_for(3)
