@@ -20,7 +20,6 @@ import numpy as np
 
 from . import fileio
 from .delegation import (
-    CONSERVATION_TOL,
     DelegationError,
     PropagationConfig,
     StrandedPolicy,
@@ -28,7 +27,7 @@ from .delegation import (
     compute_weights_iterative,
 )
 from .decisions import decision_report
-from .experiment import SOLVERS, ExperimentConfig, run_experiment
+from .experiment import SOLVERS, ExperimentConfig, _tolerance, run_experiment
 from .network import ActiveSet, generate_network
 
 _POLICIES = [policy.value for policy in StrandedPolicy]
@@ -173,25 +172,10 @@ def _active_set(args) -> ActiveSet:
     return ActiveSet(ids)
 
 
-def _tolerance(value: float) -> float:
-    """``value``, refused over ``CONSERVATION_TOL``: the iterative solve may drop
-    that much residual trust, and the weights must sum to n within that bound."""
-    if not value <= CONSERVATION_TOL:
-        raise ValueError(f"tolerance must be at most {CONSERVATION_TOL} (the bound on |sum of "
-                         f"weights - n|), got {value}")
-    return value
-
-
 def _weight_vector(args, network, active):
-    policy = StrandedPolicy(args.stranded_policy)
-    _tolerance(args.tolerance)
+    config = PropagationConfig(_tolerance(args.tolerance), args.max_iterations, args.stranded_policy)
     if args.exact:
-        return compute_weights_exact(network, active, policy)
-    config = PropagationConfig(
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        stranded_policy=policy,
-    )
+        return compute_weights_exact(network, active, config.stranded_policy)
     return compute_weights_iterative(network, active, config)
 
 
@@ -250,7 +234,6 @@ def _cmd_simulate(args) -> int:
             return convert(values[key])
         return default
 
-    tolerance = _tolerance(pick("tolerance", float, _EXPERIMENT.propagation.tolerance))
     network = _load(args.nodes, args.edges) if injected else None
     n = network.n if injected else pick("n", int, _EXPERIMENT.n)
     k = None if injected else pick("k", int, _EXPERIMENT.k)
@@ -274,9 +257,9 @@ def _cmd_simulate(args) -> int:
         active_sizes=tuple(sizes),
         master_seed=pick("seed", int, _EXPERIMENT.master_seed),
         propagation=PropagationConfig(
-            tolerance=tolerance,
+            tolerance=pick("tolerance", float, _EXPERIMENT.propagation.tolerance),
             max_iterations=pick("max-iterations", int, _EXPERIMENT.propagation.max_iterations),
-            stranded_policy=StrandedPolicy(policy_name),
+            stranded_policy=policy_name,
         ),
         fresh_network_per_trial=not fixed,
         solver=solver,

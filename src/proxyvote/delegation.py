@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ActiveSet, TrustNetwork
+from .network import ActiveSet, TrustNetwork, _integer
 
 #: bound on |sum of weights - n| that a weight vector must meet
 CONSERVATION_TOL = 1e-6
@@ -77,7 +77,9 @@ class PropagationConfig:
     """Termination and degeneracy knobs for the iterative sweeps: a solve
     stops below ``tolerance`` or when its tail closes
     (:func:`compute_weights_iterative`), and ``max_iterations`` sweeps
-    without either raise :class:`NoConvergenceError`."""
+    without either raise :class:`NoConvergenceError`.  The policy may be
+    given by its value (``"uniform"``) and is stored as a member; a budget
+    that is not an integer raises ValueError."""
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
@@ -86,6 +88,8 @@ class PropagationConfig:
     def __post_init__(self):
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        object.__setattr__(self, "stranded_policy", StrandedPolicy(self.stranded_policy))
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -185,8 +189,9 @@ def compute_weights_exact(
     predecessor or successor, or at most 128 pairs of them), and factors only
     the core of C nodes left (C = T otherwise); a C x C block over
     ``EXACT_BLOCK_BYTES`` (C > 11,585) raises MemoryError before it is allocated.
+    ``stranded_policy`` may be given by its value, as in :class:`PropagationConfig`.
     """
-    return _weight_vector(network, active, stranded_policy)
+    return _weight_vector(network, active, StrandedPolicy(stranded_policy))
 
 
 def _weight_vector(
@@ -263,8 +268,7 @@ def _absorb(
         # a trial whose residual drops below the tolerance, or whose tail
         # closes, stops and its edges leave the arrays, so it gets the bits it gets alone
         absorbed = np.hstack((weights, leaked[:, None]))
-        mobile, residual = transient.astype(float), t_count.astype(float)
-        running, iterations = np.ones(b, dtype=bool), 0
+        mobile, running, iterations = transient.astype(float), np.ones(b, dtype=bool), 0
         # the tail test of compute_weights_iterative: the O(B) ratio test runs
         # every sweep; ``run`` counts a trial's calm ratios in a row, and its
         # O(A) split test runs once ``run`` reaches ``need``: 2, after a failed
@@ -272,26 +276,23 @@ def _absorb(
         # ratio that settles long before the split (a period-3 cycle) costs
         # O(log sweeps) tests
         eps = 8 * np.finfo(float).eps
-        took = np.zeros((b, a + 1))
-        pairs = [took] * 3  # absorbed over sweeps t-1 and t, for the last three t
-        # the residual two sweeps back and one back, and the last residual_t / residual_{t-2}
-        before, last, ratio = np.full(b, np.nan), residual, np.full(b, np.nan)
-        run, need = np.zeros(b, dtype=np.int64), np.full(b, 2)
+        took = [np.zeros((b, a + 1))] * 4  # absorbed on each of the last four sweeps
+        res = [np.full(b, np.nan)] * 2 + [t_count.astype(float)]  # the last three residuals
+        ratio, run, need = np.full(b, np.nan), np.zeros(b, dtype=np.int64), np.full(b, 2)
         with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is NaN: never calm
             while True:
-                calm, below = run >= need, residual < config.tolerance
-                done = running & (below | calm)
+                done = running & (res[2] < config.tolerance)
+                ready = np.flatnonzero(running & (run >= need))
+                if ready.size:
+                    flows = np.stack([t[ready] for t in took])
+                    pair = flows[:-1] + flows[1:]  # absorbed over sweeps t-1 and t, for the last three t
+                    split = pair / pair.sum(axis=2, keepdims=True)
+                    steady = np.abs(split[1:] - split[:-1]).sum(axis=2).max(axis=0) <= eps * (a + 1)
+                    need[ready] = run[ready] * 5 // 4 + 1
+                    closed = ready[steady]
+                    absorbed[closed] += res[2][closed, None] * split[2, steady]
+                    done[closed] = True
                 if done.any():
-                    ready = np.flatnonzero(done & calm)
-                    if ready.size:
-                        pair = np.stack([p[ready] for p in pairs])
-                        split = pair / pair.sum(axis=2, keepdims=True)
-                        moved = np.abs(split[1:] - split[:-1]).sum(axis=2).max(axis=0)
-                        steady = moved <= eps * (a + 1)
-                        closed, unsteady = ready[steady], ready[~steady]
-                        need[unsteady] = run[unsteady] * 5 // 4 + 1
-                        absorbed[closed] += residual[closed, None] * split[2, steady]
-                        done[ready] = steady | below[ready]
                     sweeps[done] = iterations
                     running &= ~done
                     if not running.any():
@@ -300,22 +301,18 @@ def _absorb(
                     src, dest, w, trial = src[keep], dest[keep], w[keep], trial[keep]
                 if iterations == config.max_iterations:
                     raise NoConvergenceError(
-                        f"residual mobile trust {float(residual[running.argmax()])!r} after "
+                        f"residual mobile trust {float(res[2][running.argmax()])!r} after "
                         f"{iterations} sweeps (tolerance {config.tolerance!r})"
                     )
                 flow = np.bincount(dest, weights=mobile[src] * w, minlength=bins)
-                new = flow[b * n:].reshape(b, a + 1)
-                absorbed += new
-                pairs, took = pairs[1:] + [took + new], new
+                took = took[1:] + [flow[b * n:].reshape(b, a + 1)]
+                absorbed += took[3]
                 mobile = flow[:b * n]
-                residual = mobile.reshape(b, n).sum(axis=1)
+                res = res[1:] + [mobile.reshape(b, n).sum(axis=1)]
                 iterations += 1
-                ratio, last_ratio = residual / before, ratio
-                now_calm = np.abs(ratio - last_ratio) <= eps
-                run += 1
-                run *= now_calm
-                need = np.where(now_calm, need, 2)
-                before, last = last, residual
+                ratio, last_ratio = res[2] / res[0], ratio
+                run = (run + 1) * (np.abs(ratio - last_ratio) <= eps)
+                need[run == 0] = 2
         weights, leaked = absorbed[:, :a], absorbed[:, a]
     else:
         # y[t] of (I - Q)^T y = 1 is the expected visits of all transient units to t

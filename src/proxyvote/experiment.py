@@ -33,8 +33,9 @@ from typing import Iterator
 import numpy as np
 
 from .decisions import _decide, decision_error
-from .delegation import DelegationError, PropagationConfig, StrandedPolicy, _absorb, _reach
-from .network import TrustNetwork, _draw_networks, _shares, generate_network
+from .delegation import (CONSERVATION_TOL, DelegationError, PropagationConfig, StrandedPolicy,
+                         _absorb, _reach)
+from .network import TrustNetwork, _draw_networks, _integer, _shares, generate_network
 
 SOLVERS = ("exact", "iterative")
 #: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
@@ -65,11 +66,13 @@ def analytic_traditional_error(active_size: int, n: int) -> float:
     return math.sqrt(2.0 / math.pi) * math.sqrt(max(variance, 0.0))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; a float, string or bool is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _tolerance(value: float) -> float:
+    """``value``, refused over ``CONSERVATION_TOL``: the iterative solve may drop
+    that much residual trust, and the weights must sum to n within that bound."""
+    if not value <= CONSERVATION_TOL:
+        raise ValueError(f"tolerance must be at most {CONSERVATION_TOL} (the bound on |sum of "
+                         f"weights - n|), got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,7 @@ class ExperimentConfig:
             raise ValueError(f"master seed must be non-negative, got {self.master_seed}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+        _tolerance(self.propagation.tolerance)
 
 
 @dataclass(frozen=True)

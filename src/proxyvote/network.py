@@ -27,6 +27,13 @@ def trust_value(opinion_p: float, opinion_q: float) -> float:
     return 1.0 - abs(opinion_p - opinion_q)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a float, string or bool is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int64_ids(values, what: str) -> np.ndarray:
     """``values`` as a new flat ``int64`` array; a value that is not an integer
     within int64 raises ValueError rather than being truncated or overflowing."""

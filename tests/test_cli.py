@@ -180,6 +180,13 @@ def test_exit_code_validation_errors(four_node_paths, capsys):
     assert run_cli("weights", "--nodes", nodes, "--edges", edges, "--active", "2,99") == 2
     assert run_cli("weights", "--nodes", nodes, "--edges", edges,
                    "--active", "2,3", "--tolerance", "0") == 2
+    capsys.readouterr()
+    for command in ("weights", "decide"):  # the exact solve's config is checked too
+        for flag, value, message in [("--max-iterations", "0", "max_iterations must be >= 1, got 0"),
+                                     ("--tolerance", "0", "tolerance must be positive, got 0.0")]:
+            assert run_cli(command, "--nodes", nodes, "--edges", edges, "--active", "2,3",
+                           "--exact", flag, value) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert run_cli("decide", "--nodes", nodes, "--edges", "/nonexistent/e.csv",
                    "--active", "2") == 2
     capsys.readouterr()

@@ -736,6 +736,45 @@ def test_propagation_config_validation():
         PropagationConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("budget", [50.5, float("inf"), True, "5"])
+def test_propagation_config_refuses_a_budget_that_is_not_an_integer(budget):
+    # the sweep loop stops at iterations == max_iterations, so a float budget
+    # of 50.5 would sweep forever; it is refused before any solve
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        PropagationConfig(max_iterations=budget)
+
+
+def test_fed_three_cycle_raises_when_its_integer_budget_is_spent():
+    # 0 -> 1 -> 2 -> 0 leaks 1e-8 to representative 3 and is fed by node 4:
+    # its tail never settles in a two-sweep window, so the budget ends it
+    fed = _net([0.5] * 5, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1e-8), (4, 0, 1.0)])
+    with pytest.raises(NoConvergenceError, match=r"after 50 sweeps \(tolerance 1e-09\)$"):
+        compute_weights_iterative(fed, ActiveSet([3]), PropagationConfig(max_iterations=np.int64(50)))
+
+
+def test_propagation_config_stores_a_numpy_budget_as_int_and_a_policy_value_as_its_member():
+    config = PropagationConfig(max_iterations=np.int64(5), stranded_policy="uniform")
+    assert type(config.max_iterations) is int and config.max_iterations == 5
+    assert config.stranded_policy is StrandedPolicy.UNIFORM_TO_ACTIVE
+    with pytest.raises(ValueError, match="bogus"):
+        PropagationConfig(stranded_policy="bogus")
+
+
+def test_policy_given_by_its_value_is_obeyed_by_both_solvers():
+    # nodes 0 <-> 1 reach no representative; "reject" must not split their trust
+    net = _net([0.5] * 4, [(0, 1, 1.0), (1, 0, 1.0), (3, 2, 1.0)])
+    active = ActiveSet([2])
+    with pytest.raises(StrandedTrustError):
+        compute_weights_exact(net, active, "reject")
+    with pytest.raises(StrandedTrustError):
+        compute_weights_iterative(net, active, PropagationConfig(stranded_policy="reject"))
+    with pytest.raises(ValueError, match="bogus"):
+        compute_weights_exact(net, active, "bogus")
+    for vector in (compute_weights_exact(net, active, "uniform"),
+                   compute_weights_iterative(net, active, PropagationConfig(stranded_policy="uniform"))):
+        assert vector.weights == {2: 4.0} and vector.stranded_mass == 2.0
+
+
 def test_active_out_of_range_rejected(four_node):
     with pytest.raises(ValueError):
         compute_weights_exact(four_node, ActiveSet([2, 99]))
