@@ -78,14 +78,19 @@ class PropagationConfig:
     stops below ``tolerance`` or when its tail closes
     (:func:`compute_weights_iterative`), and ``max_iterations`` sweeps
     without either raise :class:`NoConvergenceError`.  The policy may be
-    given by its value (``"uniform"``) and is stored as a member; a budget
-    that is not an integer raises ValueError."""
+    given by its value (``"uniform"``) and is stored as a member; a tolerance
+    that is not a number (a bool or a string) or a budget that is not an
+    integer raises ValueError."""
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
     stranded_policy: StrandedPolicy = StrandedPolicy.REJECT
 
     def __post_init__(self):
+        if isinstance(self.tolerance, bool) or not isinstance(
+                self.tolerance, (int, float, np.integer, np.floating)):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         object.__setattr__(self, "stranded_policy", StrandedPolicy(self.stranded_policy))

@@ -10,10 +10,12 @@ Every trial derives its own RNG stream from (master seed, active size,
 trial index), so results are identical no matter how trials are ordered
 or distributed across worker processes.
 
-One kernel runs every trial, in passes of one size's trials sized by
-``_pass_trials``.  Each trial draws from its own stream, seeded together
-with the pass's others by ``_trial_rngs``, as a lone trial would: its
-network as one ``rng.random(n * (k + 1))`` call, then its active set.
+One kernel runs every trial below full participation, in passes of one
+size's trials sized by ``_pass_trials``; at size n a trial's row is exactly
+zero (README), so ``run_experiment`` runs none.  Each trial draws from its
+own stream, seeded together with the pass's others by ``_trial_rngs``, as a
+lone trial would: its network as one ``rng.random(n * (k + 1))`` call, then
+its active set.
 The rest runs on arrays with a leading trial axis: ``generate_network``'s
 builder turns the pass's (B, n * (k + 1)) uniforms into its networks, and
 ``_reach`` searches and ``_absorb`` solves the pass as one graph of disjoint
@@ -35,7 +37,8 @@ import numpy as np
 from .decisions import _decide, decision_error
 from .delegation import (CONSERVATION_TOL, DelegationError, PropagationConfig, StrandedPolicy,
                          _absorb, _reach)
-from .network import TrustNetwork, _draw_networks, _integer, _shares, generate_network
+from .network import (TrustNetwork, _draw_networks, _integer, _shares, generate_network,
+                      validate_network)
 
 SOLVERS = ("exact", "iterative")
 #: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
@@ -92,6 +95,12 @@ class ExperimentConfig:
     solver: str = "exact"
 
     def __post_init__(self):
+        if not isinstance(self.fresh_network_per_trial, (bool, np.bool_)):
+            raise ValueError(f"fresh_network_per_trial must be a bool, got "
+                             f"{self.fresh_network_per_trial!r}")
+        object.__setattr__(self, "fresh_network_per_trial", bool(self.fresh_network_per_trial))
+        if not isinstance(self.propagation, PropagationConfig):
+            raise ValueError(f"propagation must be a PropagationConfig, got {self.propagation!r}")
         for name in ("n", "trials", "master_seed") + (() if self.k is None else ("k",)):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "active_sizes",
@@ -145,6 +154,9 @@ def _trial_network(config: ExperimentConfig, network: TrustNetwork | None) -> Tr
             raise ValueError("injected network requires fresh_network_per_trial=False")
         if network.n != config.n:
             raise ValueError(f"injected network has n={network.n}, config says n={config.n}")
+        problems = validate_network(network)
+        if problems:
+            raise ValueError("injected network is invalid:\n" + "\n".join(problems))
         return network
     if config.k is None:
         raise ValueError("k is needed to draw networks; leave it out only with an injected network")
@@ -283,15 +295,17 @@ def run_experiment(
     """Run all trials for every active size and aggregate per-size stats.
 
     Result arrays for every trial are allocated first, so a trial count
-    beyond memory raises ``MemoryError`` before any work.  Each size is then
-    cut into (size, start, stop) passes of ``_pass_trials`` trials, which
-    fill the arrays as they come back.  With ``workers`` = 1 they run in
-    this process; with more, on one pool of that many processes (at most
-    ``os.cpu_count()``), in chunks of passes that make about 4 tasks per
-    worker per size.  Passes come back in submission order and trials are
-    seeded by index, so the aggregate is identical for any worker count.
-    The error of the first failing trial (smallest size, then lowest index)
-    is raised and the passes not yet started are cancelled.
+    beyond memory raises ``MemoryError`` before any work.  Size n's rows stay
+    0.0, as its trials' rows are; each smaller size is cut into (size, start,
+    stop) passes of ``_pass_trials`` trials, which fill the arrays as they
+    come back.  With ``workers`` = 1 they run in this process; with more,
+    on one pool of that many processes (at most ``os.cpu_count()``), in
+    chunks of passes that make about 4 tasks per worker per size, and a call
+    with no size below n starts no pool.  Passes come back in submission
+    order and trials are seeded by index, so the aggregate is identical for
+    any worker count.  The error of the first failing trial (smallest size,
+    then lowest index) is raised and the passes not yet started are
+    cancelled.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -300,10 +314,11 @@ def run_experiment(
     edges = config.n * config.k if network is None else network.edge_count
 
     sizes = sorted(config.active_sizes)
-    rows = np.empty((len(sizes) * config.trials, 3))  # one row per trial, size after size
-    per_pass = {size: _pass_trials(config.n, edges, size) for size in sizes}
+    rows = np.zeros((len(sizes) * config.trials, 3))  # one row per trial, size after size
+    drawn = [size for size in sizes if size < config.n]  # size n's rows stay 0.0 (README)
+    per_pass = {size: _pass_trials(config.n, edges, size) for size in drawn}
     passes = ((size, start, min(start + per_pass[size], config.trials))
-              for size in sizes for start in range(0, config.trials, per_pass[size]))
+              for size in drawn for start in range(0, config.trials, per_pass[size]))
 
     def fill(results) -> None:  # passes come back in the slots' order
         stop = 0
@@ -312,13 +327,13 @@ def run_experiment(
             rows[start:stop] = block
 
     run_pass = partial(_trial_block, config, network)
-    if workers == 1:
+    if workers == 1 or not drawn:
         fill(map(run_pass, passes))
     else:
         from concurrent.futures import ProcessPoolExecutor  # 2 MiB a serial run never loads (README)
 
         count = sum(-(-config.trials // step) for step in per_pass.values())
-        chunk = -(-count // (4 * workers * len(sizes)))
+        chunk = -(-count // (4 * workers * len(drawn)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fill(pool.map(run_pass, passes, chunksize=chunk))
     stats = map(_aggregate, sizes, rows.reshape(len(sizes), config.trials, 3))

@@ -744,6 +744,20 @@ def test_propagation_config_refuses_a_budget_that_is_not_an_integer(budget):
         PropagationConfig(max_iterations=budget)
 
 
+@pytest.mark.parametrize("tolerance", ["1e-9", True, False, None, 1e-9j])
+def test_propagation_config_refuses_a_tolerance_that_is_not_a_number(tolerance):
+    # a string would fail the positivity test with a TypeError, and True would
+    # be kept and swept as a tolerance of 1.0
+    with pytest.raises(ValueError, match="tolerance must be a number"):
+        PropagationConfig(tolerance=tolerance)
+
+
+def test_propagation_config_stores_a_numpy_tolerance_as_float():
+    for tolerance in (np.float64(1e-9), np.float32(0.5), np.int64(2), 3):
+        config = PropagationConfig(tolerance=tolerance)
+        assert type(config.tolerance) is float and config.tolerance == float(tolerance)
+
+
 def test_fed_three_cycle_raises_when_its_integer_budget_is_spent():
     # 0 -> 1 -> 2 -> 0 leaks 1e-8 to representative 3 and is fed by node 4:
     # its tail never settles in a two-sweep window, so the budget ends it

@@ -159,6 +159,90 @@ def test_run_experiment_full_size_row_is_zero():
     assert row.stderr_traditional == 0.0 and row.stderr_weighted == 0.0
 
 
+def _injected_network(n, rng):
+    """A network of any shape with finite opinions: each ordered pair of
+    distinct nodes is an edge with a random chance, a fifth of them with zero
+    raw trust, so nodes may dangle and groups may strand trust."""
+    src, tgt = np.nonzero(~np.eye(n, dtype=bool))
+    keep = rng.random(len(src)) < rng.random()
+    raw = rng.random(int(keep.sum()))
+    raw[rng.random(len(raw)) < 0.2] = 0.0
+    return TrustNetwork(rng.random(n), src[keep], tgt[keep], raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_full_participation_rows_are_exact_zeros(data):
+    # with every node active nothing is transient or stranded, every weight is
+    # 1.0 exactly and the three decisions sum the same opinions in the same
+    # order: the kernel's row at size n is (+0.0, +0.0, +0.0), the row that
+    # run_experiment leaves in place of running the trial
+    n = data.draw(st.integers(2, 60), label="n")
+    mode = data.draw(st.sampled_from(["fresh", "fixed", "injected"]), label="mode")
+    config = ExperimentConfig(
+        n=n,
+        k=None if mode == "injected" else data.draw(st.integers(1, n - 1), label="k"),
+        trials=data.draw(st.integers(1, 25), label="trials"),
+        active_sizes=(n,),
+        master_seed=data.draw(_SEEDS, label="seed"),
+        fresh_network_per_trial=mode == "fresh",
+        solver=data.draw(st.sampled_from(experiment.SOLVERS), label="solver"),
+        propagation=PropagationConfig(
+            stranded_policy=data.draw(st.sampled_from(StrandedPolicy), label="policy")),
+    )
+    injected = None
+    if mode == "injected":
+        injected = _injected_network(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+    rows = experiment._trial_block(config, experiment._trial_network(config, injected),
+                                   (n, 0, config.trials))
+    assert rows.shape == (config.trials, 3) and rows.tobytes() == bytes(rows.nbytes)
+    assert run_trial(config, n, config.trials - 1, injected) == (0.0, 0.0, False)
+    assert run_experiment(config, injected).rows == (experiment._aggregate(n, rows),)
+
+
+def test_full_participation_alone_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    config = ExperimentConfig(n=30, k=3, trials=50, active_sizes=(30,), master_seed=6)
+    (row,) = run_experiment(config, workers=2).rows
+    assert (row.mean_err_traditional, row.stderr_traditional, row.mean_err_weighted,
+            row.stderr_weighted, row.stranded_fraction) == (0.0,) * 5
+    assert run_experiment(config, workers=1).rows == (row,)
+
+
+def test_full_participation_keeps_a_smaller_sizes_error_first():
+    # every 2-node active set strands trust here (2 and 3 dangle, 0 <-> 1 has
+    # no edge out); size 4 runs nothing, and size 2's first trial still raises
+    net = TrustNetwork([0.6, 0.4, 0.2, 1.0], [0, 1], [1, 0], [1.0, 1.0])
+    config = ExperimentConfig(n=4, k=None, trials=5, active_sizes=(4, 2), master_seed=1,
+                              fresh_network_per_trial=False,
+                              propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT))
+    for workers in (1, 2):
+        with pytest.raises(StrandedTrustError) as excinfo:
+            run_experiment(config, net, workers=workers)
+        assert excinfo.value.trial == (2, 0, 1)
+
+
+def test_injected_network_is_validated_before_any_pass(monkeypatch):
+    # a NaN opinion would give NaN rows, and the zero rows at size n assume
+    # finite opinions; every fault is listed, as the file loader lists them
+    def no_pass(*args):
+        raise AssertionError("a pass was run")
+
+    monkeypatch.setattr(experiment, "_kernel", no_pass)
+    net = TrustNetwork([0.5, float("nan"), 0.2], [0, 1, 2], [1, 2, 2], [1.0, 1.0, 1.0])
+    config = ExperimentConfig(n=3, k=None, trials=4, active_sizes=(1, 3), master_seed=2,
+                              fresh_network_per_trial=False, propagation=UNIFORM)
+    message = ("injected network is invalid:\nnode 1: opinion nan outside [0.0, 1.0]\n"
+               "edge (2, 2): self-loop on node 2")
+    for call in (lambda: run_experiment(config, net), lambda: run_trial(config, 1, 0, net)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
 def test_run_experiment_rows_ascending_and_echo_config():
     config = ExperimentConfig(n=25, k=3, trials=40, active_sizes=(10, 2, 25), master_seed=3)
     result = run_experiment(config)
@@ -276,6 +360,27 @@ def test_experiment_config_refuses_a_tolerance_over_the_conservation_bound(toler
     assert str(excinfo.value) == (f"tolerance must be at most 1e-06 (the bound on |sum of weights"
                                   f" - n|), got {tolerance}")
     ExperimentConfig(solver="iterative", propagation=PropagationConfig(tolerance=1e-6))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("fresh_network_per_trial", "false", "must be a bool"),
+    ("fresh_network_per_trial", None, "must be a bool"),
+    ("fresh_network_per_trial", 1, "must be a bool"),
+    ("propagation", {"tolerance": 1e-9}, "must be a PropagationConfig"),
+    ("propagation", None, "must be a PropagationConfig"),
+])
+def test_experiment_config_refuses_fields_of_the_wrong_type(field, value, message):
+    # "false" would draw fresh networks and None a fixed one without a word;
+    # a dict would fail later as an AttributeError
+    with pytest.raises(ValueError, match=f"{field} {message}"):
+        ExperimentConfig(**{field: value})
+
+
+def test_experiment_config_stores_a_numpy_bool_as_bool():
+    for value in (np.bool_(True), np.bool_(False)):
+        config = ExperimentConfig(fresh_network_per_trial=value)
+        assert type(config.fresh_network_per_trial) is bool
+        assert config.fresh_network_per_trial is bool(value)
 
 
 def test_experiment_config_stores_numpy_integers_as_int():
