@@ -90,7 +90,10 @@ class PropagationConfig:
         if isinstance(self.tolerance, bool) or not isinstance(
                 self.tolerance, (int, float, np.integer, np.floating)):
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+        try:
+            object.__setattr__(self, "tolerance", float(self.tolerance))
+        except OverflowError:  # an int beyond the doubles
+            raise ValueError("tolerance is beyond the float range") from None
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         object.__setattr__(self, "stranded_policy", StrandedPolicy(self.stranded_policy))

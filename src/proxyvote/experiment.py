@@ -13,11 +13,12 @@ or distributed across worker processes.
 One kernel runs every trial below full participation, in passes of one
 size's trials sized by ``_pass_trials``; at size n a trial's row is exactly
 zero (README), so ``run_experiment`` runs none.  Each trial draws from its
-own stream, seeded together with the pass's others by ``_trial_rngs``, as a
-lone trial would: its network as one ``rng.random(n * (k + 1))`` call, then
-its active set.
-The rest runs on arrays with a leading trial axis: ``generate_network``'s
-builder turns the pass's (B, n * (k + 1)) uniforms into its networks, and
+own stream, seeded together with the pass's others by ``_trial_rngs``, into
+one row of 64-bit words, read as a lone trial's ``rng.random(n * (k + 1))``
+(its network) and then ``rng.choice`` (its active set) would read them.
+The rest runs on arrays with a leading trial axis: ``_floyd_set`` turns the
+pass's picks into its active sets, ``generate_network``'s builder turns its
+(B, n * (k + 1)) uniforms into its networks, and
 ``_reach`` searches and ``_absorb`` solves the pass as one graph of disjoint
 copies, trials with equal transient count T sharing one stacked (G, T, T)
 solve.  A pass returns a row (err_traditional, err_weighted, stranded mass)
@@ -37,8 +38,8 @@ import numpy as np
 from .decisions import _decide, decision_error
 from .delegation import (CONSERVATION_TOL, DelegationError, PropagationConfig, StrandedPolicy,
                          _absorb, _reach)
-from .network import (TrustNetwork, _draw_networks, _integer, _shares, generate_network,
-                      validate_network)
+from .network import (TrustNetwork, _draw_networks, _floyd_set, _integer, _shares,
+                      generate_network, validate_network)
 
 SOLVERS = ("exact", "iterative")
 #: byte budget of a kernel pass: trials' worst-case T x T blocks plus their edge arrays (README)
@@ -178,6 +179,7 @@ def run_trial(
     (master_seed, active_size, trial_index) only.  ``network`` injects a
     fixed network, as in :func:`run_experiment`.
     """
+    active_size, trial_index = _integer("active_size", active_size), _integer("trial_index", trial_index)
     if not 1 <= active_size <= config.n:
         raise ValueError(f"active_size {active_size} out of [1, {config.n}]")
     if trial_index < 0:
@@ -261,18 +263,26 @@ def _kernel(
     config: ExperimentConfig, network: TrustNetwork | None, size: int, lo: int, hi: int
 ) -> np.ndarray:
     """Rows (err_traditional, err_weighted, stranded mass) of trials lo..hi-1 at
-    one size in one pass; ``network`` None draws a fresh network per trial."""
+    one size in one pass; ``network`` None draws a fresh network per trial.  A
+    trial's stream fills its row of 64-bit words: the network's n * (k + 1) as
+    ``rng.random`` reads them, then ``rng.choice``'s picks from their 32-bit
+    halves, low first, by Lemire's draw over 0 .. j (README)."""
     n, k, b = config.n, config.k, hi - lo
-    uniforms = np.empty((b, n * (k + 1))) if network is None else None
-    active = []
+    m = n * (k + 1) if network is None else 0  # words of a trial's network
+    words = np.empty((b, m + (size + 1) // 2), "<u8")
     for j, rng in enumerate(_trial_rngs(config.master_seed, size, lo, hi)):
-        if network is None:
-            rng.random(out=uniforms[j])
-        active.append(rng.choice(n, size=size, replace=False))
-    active = np.sort(active, axis=1)
+        words[j] = rng.bit_generator.random_raw(words.shape[1])
+    span = np.arange(n - size + 1, n + 1, dtype=np.uint64)
+    scaled = words[:, m:].view("<u4")[:, :size] * span
+    active = _floyd_set((scaled >> 32).astype(np.int64), n)
+    # numpy draws a row another way after a rejected word, and every row above n = 10,000
+    for j in np.flatnonzero(((scaled & 0xFFFFFFFF) < 2**32 % span).any(axis=1) | (n > 10_000)):
+        rng = next(_trial_rngs(config.master_seed, size, lo + j, lo + j + 1))
+        rng.bit_generator.advance(m)
+        active[j] = np.sort(rng.choice(n, size=size, replace=False))
     offset = np.arange(0, b * n, n)[:, None]
     if network is None:
-        opinions, src, tgt, raw = _draw_networks(uniforms, n, k)
+        opinions, src, tgt, raw = _draw_networks((words[:, :m] >> 11) * 2.0**-53, n, k)
         norm = _shares(src, raw, b * n)
     else:
         opinions = np.broadcast_to(network.opinions, (b, n))
@@ -307,14 +317,17 @@ def run_experiment(
     then lowest index) is raised and the passes not yet started are
     cancelled.
     """
-    cpus = os.cpu_count() or 1
+    cpus, workers = os.cpu_count() or 1, _integer("workers", workers)
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers must be in [1, {cpus}] (the CPU count), got {workers}")
     network = _trial_network(config, network)
     edges = config.n * config.k if network is None else network.edge_count
 
     sizes = sorted(config.active_sizes)
-    rows = np.zeros((len(sizes) * config.trials, 3))  # one row per trial, size after size
+    try:
+        rows = np.zeros((len(sizes) * config.trials, 3))  # one row per trial, size after size
+    except ValueError:  # more rows than numpy can index
+        raise MemoryError("the trials' result rows are beyond numpy's array size") from None
     drawn = [size for size in sizes if size < config.n]  # size n's rows stay 0.0 (README)
     per_pass = {size: _pass_trials(config.n, edges, size) for size in drawn}
     passes = ((size, start, min(start + per_pass[size], config.trials))

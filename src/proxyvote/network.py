@@ -221,6 +221,25 @@ def _floyd_picks(uniforms: np.ndarray, n: int) -> np.ndarray:
     return (uniforms * np.arange(n - k, n)).astype(np.int64)
 
 
+def _floyd_set(picks: np.ndarray, n: int) -> np.ndarray:
+    """Sorted rows of Floyd's sample from (B, size) picks, pick i in 0 .. j_i with
+    j_i = n - size + i: each pick goes in unless it is already in, and then j_i
+    does.  Pick i is already in when it repeats an earlier pick, or equals j_m
+    for an earlier pick m that was; array passes follow those chains."""
+    b, size = picks.shape
+    j = np.arange(n - size, n)
+    cell = np.arange(b * size).reshape(b, size)  # flat index of each pick
+    flat = (picks + np.arange(0, b * n, n)[:, None]).ravel()
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    taken = np.zeros(b * size, bool)  # pick i is already in
+    taken[order[1:][ranked[1:] == ranked[:-1]]] = True
+    link = np.where((picks >= n - size) & (picks < j), cell + picks - j, cell).ravel()
+    while (grow := ~taken & taken[link]).any():
+        taken |= grow
+    return np.sort(np.where(taken.reshape(b, size), j, picks), axis=1)
+
+
 def _targets(picks: np.ndarray) -> np.ndarray:
     """Targets of (..., n, k) Floyd picks, in place: pick i repeating an earlier
     one becomes n-1-k+i, which none can be, so a row is a uniform k-subset of

@@ -752,6 +752,12 @@ def test_propagation_config_refuses_a_tolerance_that_is_not_a_number(tolerance):
         PropagationConfig(tolerance=tolerance)
 
 
+def test_propagation_config_refuses_a_tolerance_beyond_the_floats():
+    # float() of the int raised OverflowError
+    with pytest.raises(ValueError, match="tolerance is beyond the float range"):
+        PropagationConfig(tolerance=10**400)
+
+
 def test_propagation_config_stores_a_numpy_tolerance_as_float():
     for tolerance in (np.float64(1e-9), np.float32(0.5), np.int64(2), 3):
         config = PropagationConfig(tolerance=tolerance)

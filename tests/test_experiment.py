@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import concurrent.futures
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ def test_run_trial_rejects_bad_inputs():
     fresh = ExperimentConfig(n=4, k=2, trials=1, active_sizes=(2,), master_seed=1)
     with pytest.raises(ValueError, match="requires fresh_network_per_trial=False"):
         run_trial(fresh, 2, 0, four_node_network())
+
+
+@pytest.mark.parametrize("value", [2.0, "1", True, None])
+def test_run_arguments_must_be_integers(value):
+    # a float or string used to fail with a TypeError deep in the pool or the
+    # seeding, and True to run as 1
+    config = ExperimentConfig(n=10, k=2, trials=1, active_sizes=(3,), master_seed=1)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_experiment(config, workers=value)
+    with pytest.raises(ValueError, match="active_size must be an integer"):
+        run_trial(config, value, 0)
+    with pytest.raises(ValueError, match="trial_index must be an integer"):
+        run_trial(config, 3, value)
+    assert run_trial(config, np.int64(3), np.uint8(1)) == run_trial(config, 3, 1)
 
 
 def test_run_trial_propagates_stranded_under_reject():
@@ -414,6 +429,119 @@ def test_trial_rngs_are_the_trials_own_streams(seed, data):
             reference.choice(n, size=size, replace=False).tolist()
 
 
+class _Stop(Exception):
+    pass
+
+
+def kernel_draws(config, network, size, lo, hi, pass_rngs=None):
+    """The sorted active sets the kernel draws for trials lo..hi-1, read at its
+    call of _reach before any solve, and the trials it then drew again one at a
+    time.  ``pass_rngs``, if given, stands in for the pass's _trial_rngs call."""
+    seen, calls, real = [], [], experiment._trial_rngs
+
+    def trial_rngs(seed, size, start, stop):
+        calls.append(start)
+        return (pass_rngs if len(calls) == 1 and pass_rngs else real)(seed, size, start, stop)
+
+    def stop(src, tgt, norm, active, nodes):
+        seen.append(active.reshape(hi - lo, size) - np.arange(0, nodes, config.n)[:, None])
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "_trial_rngs", trial_rngs)
+        patch.setattr(experiment, "_reach", stop)
+        with pytest.raises(_Stop):
+            experiment._kernel(config, network, size, lo, hi)
+    return seen[0].tolist(), calls[1:]
+
+
+def choice_sets(config, size, lo, hi):
+    """np.sort of each trial's rng.choice on its own stream, after its network's
+    uniforms when it draws one."""
+    sets = []
+    for i in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, size, i]))
+        if config.fresh_network_per_trial:
+            rng.random(config.n * (config.k + 1))
+        sets.append(np.sort(rng.choice(config.n, size=size, replace=False)).tolist())
+    return sets
+
+
+def draw_config(n, size, seed, mode, k=3):
+    """A config of one size and its kernel network: None (fresh), the master
+    seed's network (fixed) or one made apart from it (injected)."""
+    if mode == "injected":
+        network = generate_network(n, min(k, n - 1), np.random.default_rng(seed % 2**32 + 1))
+        config = ExperimentConfig(n=n, k=None, trials=1, active_sizes=(size,), master_seed=seed,
+                                  fresh_network_per_trial=False)
+        return config, experiment._trial_network(config, network)
+    config = ExperimentConfig(n=n, k=min(k, n - 1), trials=1, active_sizes=(size,),
+                              master_seed=seed, fresh_network_per_trial=mode == "fresh")
+    return config, experiment._trial_network(config, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, data=st.data())
+def test_kernel_active_sets_are_rng_choice(seed, data):
+    # a pass reads each trial's stream as one block of words: its picks are
+    # numpy's bounded 32-bit draws on the words' halves, made into Floyd's set
+    # as arrays.  Every set is rng.choice's, and no row is drawn again unless
+    # numpy rejects a word (about 1 in 10**6 trials at n = 100)
+    n = data.draw(st.one_of(st.integers(2, 100), st.integers(1_000, 10_000)), label="n")
+    size = data.draw(st.integers(1, n), label="size")
+    mode = data.draw(st.sampled_from(["fresh", "fixed", "injected"]), label="mode")
+    k = data.draw(st.integers(1, 3), label="k")
+    count = data.draw(st.integers(1, 4), label="count")
+    lo = data.draw(st.one_of(st.integers(0, 50), st.integers(0, 2**40)), label="lo")
+    config, network = draw_config(n, size, seed, mode, k)
+    sets, redrawn = kernel_draws(config, network, size, lo, lo + count)
+    assert sets == choice_sets(config, size, lo, lo + count)
+    assert redrawn == [] or n >= 1_000
+
+
+@pytest.mark.parametrize("size", [200, 201])
+@pytest.mark.parametrize("mode", ["fresh", "fixed"])
+def test_kernel_draws_every_set_above_n_10000_by_rng_choice(size, mode):
+    # above n = 10,000 numpy's choice shuffles part of the population when
+    # size > n // 50 and draws 64-bit words past n = 2**32; every row there is
+    # drawn again by rng.choice itself
+    config, network = draw_config(10_001, size, 2**64 + 3, mode)
+    sets, redrawn = kernel_draws(config, network, size, 5, 8)
+    assert sets == choice_sets(config, size, 5, 8)
+    assert redrawn == [5, 6, 7]
+
+
+def test_a_rejected_word_sends_its_row_to_rng_choice():
+    # numpy's bounded draw over 0 .. j rejects a 32-bit word w when
+    # w * (j + 1) mod 2**32 < 2**32 mod (j + 1), and draws again, so the
+    # row's later picks read other words.  Pick 3 (j + 1 = 29) reads word
+    # 2 * head + 3 of a row: trial 2 gets 0 there, trial 3 the word at the
+    # bound and trial 4 the word one below it.  Trials 2 and 4 alone are
+    # drawn again, each on its own stream
+    config, network = draw_config(30, 5, 4, "fresh", k=2)
+    head, real = config.n * (config.k + 1), experiment._trial_rngs
+    bound = 2**32 % 29 * pow(29, -1, 2**32) % 2**32  # w * 29 mod 2**32 == 2**32 mod 29
+    words_at = {2: 0, 3: bound, 4: (bound - pow(29, -1, 2**32)) % 2**32}
+
+    def crafted(seed, size, lo, hi):
+        for i, rng in enumerate(real(seed, size, lo, hi), start=lo):
+            words = rng.bit_generator.random_raw(head + 3).astype("<u8")
+            if i in words_at:
+                words.view("<u4")[2 * head + 3] = words_at[i]
+            yield SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda _, w=words: w))
+
+    sets, redrawn = kernel_draws(config, network, 5, 0, 5, pass_rngs=crafted)
+    assert redrawn == [2, 4]
+    expected = choice_sets(config, 5, 0, 5)
+    assert [sets[i] for i in (0, 1, 2, 4)] == [expected[i] for i in (0, 1, 2, 4)]
+    # a real stream: trial 78 of seed 0 at n = 10,000, size 3,000 rejects its
+    # 481st word, and the trials around it none
+    config, network = draw_config(10_000, 3_000, 0, "fixed")
+    sets, redrawn = kernel_draws(config, network, 3_000, 76, 81)
+    assert sets == choice_sets(config, 3_000, 76, 81)
+    assert redrawn == [78]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_batched_block_matches_blocks_of_one(data):
@@ -583,9 +711,11 @@ def test_absurd_trial_count_raises_before_any_pass(monkeypatch):
 
     monkeypatch.setattr(experiment, "_pass_trials", no_pass)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    for workers in (1, 2):
-        with pytest.raises(MemoryError):
-            run_experiment(ExperimentConfig(trials=10**15, active_sizes=(2,)), workers=workers)
+    # 10**30 rows are beyond numpy's array size, which raises ValueError
+    for trials in (10**15, 10**30):
+        for workers in (1, 2):
+            with pytest.raises(MemoryError):
+                run_experiment(ExperimentConfig(trials=trials, active_sizes=(2,)), workers=workers)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 64 * 1024  # KiB
 
 

@@ -14,7 +14,7 @@ from proxyvote import (
     validate_network,
 )
 from proxyvote.fileio import format_network
-from proxyvote.network import _floyd_picks
+from proxyvote.network import _floyd_picks, _floyd_set
 
 
 def test_trust_value_examples():
@@ -117,6 +117,32 @@ def test_floyd_picks_stay_in_range_at_the_edges():
         m = np.arange(n - k, n)
         picks = _floyd_picks(np.array([[top] * k, [0.0] * k]), n)
         np.testing.assert_array_equal(picks, [m - 1, np.zeros(k)], err_msg=f"n={n}, k={k}")
+
+
+def _floyd_reference(picks: list[int], n: int) -> list[int]:
+    """Floyd's sample of one row of picks, a pick at a time: pick i goes in
+    unless it already is, and then n - size + i does."""
+    chosen: list[int] = []
+    for pick, top in zip(picks, range(n - len(picks), n)):
+        chosen.append(top if pick in chosen else pick)
+    return sorted(chosen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_floyd_set_matches_a_pick_at_a_time(n, data):
+    # pick i is in 0 .. n - size + i.  Rows that crowd their picks into the
+    # top values n - size .. n - size + i make long chains of picks that are
+    # already in because an earlier top value went in
+    size = data.draw(st.integers(1, n), label="size")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+    picks = (rng.random((rows, size)) * np.arange(n - size + 1, n + 1)).astype(np.int64)
+    top = n - size + rng.integers(0, np.arange(1, size + 1), (rows, size))
+    crowded = rng.random((rows, size)) < data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    picks = np.where(crowded, top, picks)
+    expected = [_floyd_reference(row, n) for row in picks.tolist()]
+    assert _floyd_set(picks, n).tolist() == expected
 
 
 def test_generate_memory_is_linear_in_edges():
