@@ -27,8 +27,10 @@ per trial, each with the bits of the trial run alone.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Iterator
@@ -47,6 +49,9 @@ _PASS_BYTES = 2**21
 #: SeedSequence.generate_state's hash constants INIT_B * MULT_B**j: output word j
 #: is its pool word xored with constant j, then multiplied by constant j + 1
 _STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**j % 2**32 for j in range(9)], np.uint32)
+#: this process's worker pool, kept for later calls (README): (executor, workers, maker's pid)
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def analytic_traditional_error(active_size: int, n: int) -> float:
@@ -240,13 +245,13 @@ def _seeded() -> type:
     return Seeded
 
 
-def _trial_rngs(seed: int, size: int, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """The generators ``default_rng(SeedSequence([seed, size, i]))`` of trials
-    i = lo..hi-1 in turn, stream for stream.  SeedSequence mixes each trial's
+def _trial_rngs(seed: int, size: int, lo: int, hi: int) -> Iterator[np.random.PCG64]:
+    """The bit generators of ``default_rng(SeedSequence([seed, size, i]))`` for
+    trials i = lo..hi-1 in turn, stream for stream.  SeedSequence mixes each trial's
     entropy, given as the uint32 words it would split the ints into, to its
     4-word pool; the pass's pools then go through generate_state's hash as one
     array: 8 words a row, paired little-endian into PCG64's 4 seed words."""
-    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random import PCG64, SeedSequence
 
     head = _words(seed) + _words(size)
     pools = np.array([SeedSequence(np.array(head + _words(i), np.uint32)).pool
@@ -256,7 +261,7 @@ def _trial_rngs(seed: int, size: int, lo: int, hi: int) -> Iterator[np.random.Ge
     state ^= state >> 16
     seeded = _seeded()
     for row in state.astype("<u4").view("<u8").astype(np.uint64):
-        yield Generator(PCG64(seeded(row)))
+        yield PCG64(seeded(row))
 
 
 def _kernel(
@@ -270,16 +275,16 @@ def _kernel(
     n, k, b = config.n, config.k, hi - lo
     m = n * (k + 1) if network is None else 0  # words of a trial's network
     words = np.empty((b, m + (size + 1) // 2), "<u8")
-    for j, rng in enumerate(_trial_rngs(config.master_seed, size, lo, hi)):
-        words[j] = rng.bit_generator.random_raw(words.shape[1])
+    for j, bits in enumerate(_trial_rngs(config.master_seed, size, lo, hi)):
+        words[j] = bits.random_raw(words.shape[1])
     span = np.arange(n - size + 1, n + 1, dtype=np.uint64)
     scaled = words[:, m:].view("<u4")[:, :size] * span
     active = _floyd_set((scaled >> 32).astype(np.int64), n)
     # numpy draws a row another way after a rejected word, and every row above n = 10,000
     for j in np.flatnonzero(((scaled & 0xFFFFFFFF) < 2**32 % span).any(axis=1) | (n > 10_000)):
-        rng = next(_trial_rngs(config.master_seed, size, lo + j, lo + j + 1))
-        rng.bit_generator.advance(m)
-        active[j] = np.sort(rng.choice(n, size=size, replace=False))
+        bits = next(_trial_rngs(config.master_seed, size, lo + j, lo + j + 1))
+        bits.advance(m)
+        active[j] = np.sort(np.random.Generator(bits).choice(n, size=size, replace=False))
     offset = np.arange(0, b * n, n)[:, None]
     if network is None:
         opinions, src, tgt, raw = _draw_networks((words[:, :m] >> 11) * 2.0**-53, n, k)
@@ -309,13 +314,16 @@ def run_experiment(
     0.0, as its trials' rows are; each smaller size is cut into (size, start,
     stop) passes of ``_pass_trials`` trials, which fill the arrays as they
     come back.  With ``workers`` = 1 they run in this process; with more,
-    on one pool of that many processes (at most ``os.cpu_count()``), in
+    on a pool of that many processes (at most ``os.cpu_count()``), in
     chunks of passes that make about 4 tasks per worker per size, and a call
-    with no size below n starts no pool.  Passes come back in submission
-    order and trials are seeded by index, so the aggregate is identical for
-    any worker count.  The error of the first failing trial (smallest size,
-    then lowest index) is raised and the passes not yet started are
-    cancelled.
+    with no size below n uses no pool.  The pool is started by the first
+    such call and kept for later calls with the same ``workers``; a call
+    with another count, in a forked child or after a worker died replaces
+    it, and it is shut down when the interpreter exits.  Passes come back in
+    submission order and trials are seeded by index, so the aggregate is
+    identical for any worker count.  The error of the first failing trial
+    (smallest size, then lowest index) is raised and the passes not yet
+    started are cancelled.
     """
     cpus, workers = os.cpu_count() or 1, _integer("workers", workers)
     if not 1 <= workers <= cpus:
@@ -344,13 +352,37 @@ def run_experiment(
         fill(map(run_pass, passes))
     else:
         from concurrent.futures import ProcessPoolExecutor  # 2 MiB a serial run never loads (README)
+        from multiprocessing.connection import wait
 
+        global _pool
         count = sum(-(-config.trials // step) for step in per_pass.values())
         chunk = -(-count // (4 * workers * len(drawn)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(run_pass, passes, chunksize=chunk))
+        with _pool_lock:
+            # a pool of another size, one made before a fork or one with a worker gone is replaced;
+            # a gone worker's sentinel is ready, and waiting on it reaps no process
+            if (_pool is None or _pool[1:] != (workers, os.getpid()) or _pool[0]._broken
+                    or wait([p.sentinel for p in _pool[0]._processes.values()], timeout=0)):
+                _close_pool()
+                _pool = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
+            fill(_pool[0].map(run_pass, passes, chunksize=chunk))
     stats = map(_aggregate, sizes, rows.reshape(len(sizes), config.trials, 3))
     return ExperimentResult(rows=tuple(stats), config=config)
+
+
+def _close_pool() -> None:
+    """Stop this process's pool and forget it.  Its workers are terminated
+    first: one that died holding the task queue's lock would leave another
+    waiting for the stop signal forever.  A pool made before a fork is only
+    forgotten: its workers and threads are the parent's."""
+    global _pool
+    if _pool is not None and _pool[2] == os.getpid():
+        for worker in _pool[0]._processes.values():
+            worker.terminate()
+        _pool[0].shutdown()
+    _pool = None
+
+
+atexit.register(_close_pool)
 
 
 def _aggregate(size: int, rows: np.ndarray) -> ActiveSizeStats:

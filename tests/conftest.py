@@ -1,16 +1,26 @@
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from proxyvote import ActiveSet, TrustNetwork, compute_weights_exact, generate_network
+from proxyvote import ActiveSet, TrustNetwork, compute_weights_exact, experiment, generate_network
 
 # the same examples on every run, so a property test passes or fails for good
 settings.register_profile("repeatable", derandomize=True)
 settings.load_profile("repeatable")
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_left():
+    """The cached worker pool is shut down after the suite, as at interpreter
+    exit, and no worker process is left behind."""
+    yield
+    experiment._close_pool()
+    assert multiprocessing.active_children() == []
 
 
 def four_node_network() -> TrustNetwork:

@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import concurrent.futures
 from pathlib import Path
 from types import SimpleNamespace
@@ -277,7 +281,19 @@ def test_run_experiment_deterministic_and_schedule_independent():
     assert sequential.rows == parallel.rows
 
 
-def test_run_experiment_starts_at_most_one_pool(monkeypatch):
+@pytest.fixture
+def fresh_pool():
+    """No cached worker pool before the test, and none left after it."""
+    experiment._close_pool()
+    yield
+    experiment._close_pool()
+
+
+def worker_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_run_experiment_keeps_one_pool_per_worker_count(monkeypatch, fresh_pool):
     pools = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -289,9 +305,95 @@ def test_run_experiment_starts_at_most_one_pool(monkeypatch):
     config = ExperimentConfig(n=20, k=2, trials=7, active_sizes=(2, 5, 20), master_seed=4)
     parallel = run_experiment(config, workers=2)
     assert len(pools) == 1
+    assert run_experiment(config, workers=2).rows == parallel.rows
     serial = run_experiment(config, workers=1)
     assert len(pools) == 1
     assert serial.rows == parallel.rows
+    two = worker_pids()
+    assert len(two) == 2
+    # another count replaces the pool and stops its workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_experiment(config, workers=3).rows == serial.rows
+    assert len(pools) == 2
+    three = worker_pids()
+    assert len(three) == 3 and not set(two) & set(three)
+
+
+def test_a_failing_call_leaves_the_pool_usable(monkeypatch, fresh_pool):
+    # every 2-node active set strands trust (2 and 3 dangle, 0 <-> 1 has no
+    # edge out); at a pass per trial the failing call leaves passes queued on
+    # the pool, and the next call still gets exactly the serial rows
+    net = TrustNetwork([0.6, 0.4, 0.2, 1.0], [0, 1], [1, 0], [1.0, 1.0])
+    reject = ExperimentConfig(n=4, k=None, trials=40, active_sizes=(2,), master_seed=1,
+                              fresh_network_per_trial=False,
+                              propagation=PropagationConfig(stranded_policy=StrandedPolicy.REJECT))
+    good = ExperimentConfig(n=30, k=3, trials=40, active_sizes=(2, 5, 30), master_seed=3)
+    serial = run_experiment(good, workers=1).rows
+    monkeypatch.setattr(experiment, "_PASS_BYTES", 0)
+    with pytest.raises(StrandedTrustError) as excinfo:
+        run_experiment(reject, net, workers=2)
+    assert excinfo.value.trial == (2, 0, 1)
+    pool = experiment._pool[0]
+    assert run_experiment(good, workers=2).rows == serial
+    assert experiment._pool[0] is pool
+
+
+def test_a_worker_killed_between_calls_is_replaced(fresh_pool):
+    config = ExperimentConfig(n=30, k=3, trials=40, active_sizes=(2, 5), master_seed=7)
+    serial = run_experiment(config, workers=1).rows
+    assert run_experiment(config, workers=2).rows == serial
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)  # it has exited
+    for _ in range(2):
+        assert run_experiment(config, workers=2).rows == serial
+    assert len(worker_pids()) == 2 and victim.pid not in worker_pids()
+
+
+def test_a_forked_childs_call_leaves_the_parents_pool_alone(fresh_pool):
+    # the child inherits the parent's pool object but none of its workers or
+    # threads: it starts its own pool and never shuts the parent's down
+    config = ExperimentConfig(n=30, k=3, trials=40, active_sizes=(2, 5), master_seed=8)
+    serial = run_experiment(config, workers=1).rows
+    assert run_experiment(config, workers=2).rows == serial
+    pool, workers = experiment._pool[0], worker_pids()
+    with warnings.catch_warnings():  # Python 3.12+ warns of any fork beside the pool's threads
+        warnings.filterwarnings("ignore", ".* is multi-threaded, use of fork", DeprecationWarning)
+        child = os.fork()
+    if child == 0:
+        code = 1
+        try:
+            signal.alarm(60)  # a hung child ends instead of hanging the suite
+            rows = run_experiment(config, workers=2).rows
+            ok = rows == serial and experiment._pool[0] is not pool
+            experiment._close_pool()
+            code = 0 if ok else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert experiment._pool[0] is pool and worker_pids() == workers
+    assert run_experiment(config, workers=2).rows == serial
+    assert experiment._pool[0] is pool
+
+
+def test_no_worker_outlives_the_interpreter():
+    code = (
+        "import multiprocessing, proxyvote as pv; "
+        "pv.run_experiment(pv.ExperimentConfig(n=30, k=3, trials=20, active_sizes=(2, 5)), "
+        "workers=2); "
+        "print(*(p.pid for p in multiprocessing.active_children()))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_run_experiment_fixed_network_mode_deterministic():
@@ -420,10 +522,13 @@ def test_trial_rngs_are_the_trials_own_streams(seed, data):
     count = data.draw(st.integers(1, 6), label="count")
     lo = data.draw(st.one_of(st.integers(0, 50), st.integers(2**32 - count, 2**32),
                              st.integers(0, 2**40)), label="lo")
-    rngs = list(experiment._trial_rngs(seed, size, lo, lo + count))
-    assert len(rngs) == count
-    for i, rng in enumerate(rngs, start=lo):
+    streams = list(experiment._trial_rngs(seed, size, lo, lo + count))
+    assert len(streams) == count
+    for i, bits in enumerate(streams, start=lo):
         reference = np.random.default_rng(np.random.SeedSequence([seed, size, i]))
+        assert type(bits) is np.random.PCG64
+        assert bits.state == reference.bit_generator.state
+        rng = np.random.Generator(bits)
         assert rng.random(3).tolist() == reference.random(3).tolist()
         assert rng.choice(n, size=size, replace=False).tolist() == \
             reference.choice(n, size=size, replace=False).tolist()
@@ -524,11 +629,11 @@ def test_a_rejected_word_sends_its_row_to_rng_choice():
     words_at = {2: 0, 3: bound, 4: (bound - pow(29, -1, 2**32)) % 2**32}
 
     def crafted(seed, size, lo, hi):
-        for i, rng in enumerate(real(seed, size, lo, hi), start=lo):
-            words = rng.bit_generator.random_raw(head + 3).astype("<u8")
+        for i, bits in enumerate(real(seed, size, lo, hi), start=lo):
+            words = bits.random_raw(head + 3).astype("<u8")
             if i in words_at:
                 words.view("<u4")[2 * head + 3] = words_at[i]
-            yield SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda _, w=words: w))
+            yield SimpleNamespace(random_raw=lambda _, w=words: w)
 
     sets, redrawn = kernel_draws(config, network, 5, 0, 5, pass_rngs=crafted)
     assert redrawn == [2, 4]
@@ -605,10 +710,11 @@ def test_kernel_matches_the_public_calls(fresh):
 
 
 @pytest.mark.parametrize("fresh", [True, False])
-def test_exact_block_limit_is_per_trial(monkeypatch, fresh):
+def test_exact_block_limit_is_per_trial(monkeypatch, fresh, fresh_pool):
     # room for two 30 x 30 blocks, less than a pass of 32 trials stacks: the
     # limit is on one trial's block, so a run neither fails nor changes bits
-    # with the number of trials that share a pass
+    # with the number of trials that share a pass (fresh_pool: the workers
+    # must fork after the patch to see it)
     monkeypatch.setattr(delegation, "EXACT_BLOCK_BYTES", 2 * 30 * 30 * 8)
     config = ExperimentConfig(n=32, k=3, trials=32, active_sizes=(2, 5), master_seed=3,
                               propagation=UNIFORM, fresh_network_per_trial=fresh)
